@@ -17,38 +17,16 @@ numbers behind the criterion-3 row of docs/decisions.md:
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from platoonkit.montecarlo import ChannelSpec, run_realizations
+from platoonkit.montecarlo import deterministic_equivalent, run_realizations
 from platoonkit.scenario import load_scenario
-from platoonkit.stability import cacc_error_tf, impulse_l1, is_string_stable
+from platoonkit.stability import cacc_error_tf, impulse_l1, is_string_stable, parseval_energies
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def spectral_energies(err: np.ndarray, dt: float, tf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parseval energies of err along axis -2, total and inside Omega+ of tf.
-
-    Returns (total, in_band, omega_band): energies sum(e^2)*dt from the rFFT
-    of the record, the same restricted to bins where |H(jw)| > 1, and those
-    bins' angular frequencies.
-    """
-    n = err.shape[-2]
-    spec = np.fft.rfft(err, axis=-2)
-    omega = 2.0 * np.pi * np.fft.rfftfreq(n, dt)
-    s = 1j * omega
-    mag = np.abs(np.polynomial.polynomial.polyval(s, tf.num) / np.polynomial.polynomial.polyval(s, tf.den))
-    weight = np.full(omega.size, 2.0)   # one-sided spectrum: count +-w once each
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
-    density = (weight[:, None] * dt / n) * np.abs(spec) ** 2
-    band = mag > 1.0
-    return density.sum(axis=-2), density[..., band, :].sum(axis=-2), omega[band]
 
 
 def monotone_fraction(values: np.ndarray, increasing: bool) -> float:
@@ -63,12 +41,11 @@ def summarize(name: str, n_runs: int) -> None:
     tf = cacc_error_tf(sc.controller, sc.params.tau, gamma)
     freq = is_string_stable(sc.controller, sc.params.tau, gamma)
     errs = np.stack([r.spacing_errors for r in run_realizations(sc, np.arange(n_runs))])
-    det_sc = dataclasses.replace(sc, channel=ChannelSpec(kind="deterministic", gamma=gamma))
-    det_err = run_realizations(det_sc, [0])[0].spacing_errors
+    det_err = run_realizations(deterministic_equivalent(sc), [0])[0].spacing_errors
     mean_err = errs.mean(axis=0)
 
-    total, in_band, omega_band = spectral_energies(mean_err, sc.dt, tf)
-    run_total, run_band, _ = spectral_energies(errs, sc.dt, tf)
+    total, in_band, omega_band = parseval_energies(mean_err, sc.dt, tf)
+    run_total, run_band, _ = parseval_energies(errs, sc.dt, tf)
     amplifying = omega_band.size > 0
     energy = in_band if amplifying else total
     run_energy = run_band if amplifying else run_total

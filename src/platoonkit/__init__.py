@@ -27,11 +27,9 @@ from .montecarlo import (
     RealizationResult,
     SafetyStats,
     ScenarioConfig,
-    aggregate_stats,
     detect_collisions,
     run_realization,
     run_safety_study,
-    sample_decel_limits,
     validate_mean_trajectory,
 )
 from .cli import RunManifest
@@ -59,8 +57,8 @@ __all__ = [
     "LeaderProfile", "LeaderSegment", "VehicleParams", "VehicleState",
     "leader_input", "spacing_error", "step_vehicle",
     "ChannelSpec", "DecelDistribution", "RealizationResult", "SafetyStats",
-    "ScenarioConfig", "aggregate_stats", "detect_collisions", "run_realization",
-    "run_safety_study", "sample_decel_limits", "validate_mean_trajectory",
+    "ScenarioConfig", "detect_collisions", "run_realization",
+    "run_safety_study", "validate_mean_trajectory",
     "load_scenario", "parse_scenario", "RunManifest",
     "BoundReport", "ErrorSystem", "TransferFunction", "build_error_system",
     "cacc_error_tf", "freq_response_mag", "hinf_norm", "impulse_l1",

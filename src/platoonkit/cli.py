@@ -26,6 +26,7 @@ from .control import min_headway
 from .errors import ConfigError, NumericalError, PlatoonKitError
 from .montecarlo import (
     ScenarioConfig,
+    deterministic_equivalent,
     run_realization,
     run_safety_study,
     validate_mean_trajectory,
@@ -119,17 +120,20 @@ def write_manifest(
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario of a command: a file path, or a manifest's resolved dict under rerun."""
+    if isinstance(args.scenario, dict):
+        return scenario_from_dict(args.scenario)
     sc = load_scenario(args.scenario)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         sc = dataclasses.replace(sc, base_seed=args.seed)
     return sc
 
 
-def cmd_simulate(args: argparse.Namespace, sc: ScenarioConfig | None = None) -> int:
-    sc = sc if sc is not None else _load(args)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    sc = _load(args)
     out = _out_dir(args, "simulate")
     out.mkdir(parents=True, exist_ok=True)
-    result = run_realization(sc, args.realization, include_states=args.states)
+    result = run_realization(sc, args.realization)
 
     outputs = ["spacing_errors.csv", "summary.txt"]
     header = ["time_s"] + [f"e{i + 1}_m" for i in range(sc.n_followers)]
@@ -202,15 +206,15 @@ def cmd_headway(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stability(args: argparse.Namespace, sc: ScenarioConfig | None = None) -> int:
-    sc = sc if sc is not None else _load(args)
+def cmd_stability(args: argparse.Namespace) -> int:
+    sc = _load(args)
     out = _out_dir(args, "stability")
     out.mkdir(parents=True, exist_ok=True)
     gamma = sc.channel.effective_gamma()
     report = is_string_stable(sc.controller, sc.params.tau, gamma)
     tf = cacc_error_tf(sc.controller, sc.params.tau, gamma)
     omegas = np.concatenate([[0.0], np.logspace(-3, 3, 2000)])
-    mags = np.array([freq_response_mag(tf, w) for w in omegas])
+    mags = freq_response_mag(tf, omegas)
     write_csv(out / "freq_response.csv", ["omega_radps", "magnitude"], [omegas, mags])
     summary = {
         "command": "stability",
@@ -229,18 +233,14 @@ def cmd_stability(args: argparse.Namespace, sc: ScenarioConfig | None = None) ->
     return EXIT_OK
 
 
-def cmd_bound(args: argparse.Namespace, sc: ScenarioConfig | None = None) -> int:
-    sc = sc if sc is not None else _load(args)
+def cmd_bound(args: argparse.Namespace) -> int:
+    sc = _load(args)
     out = _out_dir(args, "bound")
     out.mkdir(parents=True, exist_ok=True)
     gamma = sc.channel.effective_gamma()
     sys_ = build_error_system(sc.controller, sc.params.tau, gamma)
 
-    det_sc = dataclasses.replace(
-        sc,
-        channel=dataclasses.replace(sc.channel, kind="deterministic", gamma=gamma, gilbert=None),
-    )
-    result = run_realization(det_sc, 0, include_states=True)
+    result = run_realization(deterministic_equivalent(sc), 0)
     w0 = result.states[:, 0, 2]  # realized lead-vehicle acceleration
     sim_max = float(np.abs(result.spacing_errors).max())
 
@@ -266,8 +266,8 @@ def cmd_bound(args: argparse.Namespace, sc: ScenarioConfig | None = None) -> int
     return EXIT_OK
 
 
-def cmd_montecarlo(args: argparse.Namespace, sc: ScenarioConfig | None = None) -> int:
-    sc = sc if sc is not None else _load(args)
+def cmd_montecarlo(args: argparse.Namespace) -> int:
+    sc = _load(args)
     out = _out_dir(args, "montecarlo")
     out.mkdir(parents=True, exist_ok=True)
     stats = run_safety_study(sc, mode=args.mode, realizations=args.realizations)
@@ -296,8 +296,8 @@ def cmd_montecarlo(args: argparse.Namespace, sc: ScenarioConfig | None = None) -
     return EXIT_OK
 
 
-def cmd_validate_mean(args: argparse.Namespace, sc: ScenarioConfig | None = None) -> int:
-    sc = sc if sc is not None else _load(args)
+def cmd_validate_mean(args: argparse.Namespace) -> int:
+    sc = _load(args)
     out = _out_dir(args, "validate-mean")
     out.mkdir(parents=True, exist_ok=True)
     report = validate_mean_trajectory(sc, args.realizations)
@@ -323,40 +323,24 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
     manifest = RunManifest.load(path)
-    command = manifest.command
-    config = manifest.config
-
+    fn = COMMANDS.get(manifest.command)
+    if fn is None or fn is cmd_rerun:
+        raise ConfigError(f"manifest: unknown command {manifest.command!r}")
+    # Manifest config keys are the commands' argparse destinations; the one
+    # flag no manifest records, headway's --json, only changes what is printed.
     out = Path(args.out) if args.out is not None else path.parent
+    return fn(argparse.Namespace(**manifest.config, json=False, out=str(out)))
 
-    if command == "headway":
-        ns = argparse.Namespace(
-            tau=config["tau"], ka=config["ka"], gamma=config["gamma"],
-            gilbert=tuple(config["gilbert"]) if config["gilbert"] else None,
-            json=False, out=str(out),
-        )
-        return cmd_headway(ns)
 
-    sc = scenario_from_dict(config["scenario"])
-    base = argparse.Namespace(out=str(out), seed=None)
-    if command == "simulate":
-        ns = argparse.Namespace(
-            **vars(base), realization=config["realization"], states=config["states"]
-        )
-        return cmd_simulate(ns, sc)
-    if command == "stability":
-        return cmd_stability(base, sc)
-    if command == "bound":
-        ns = argparse.Namespace(**vars(base), alpha_star=config["alpha_star"])
-        return cmd_bound(ns, sc)
-    if command == "montecarlo":
-        ns = argparse.Namespace(
-            **vars(base), mode=config["mode"], realizations=config["realizations"]
-        )
-        return cmd_montecarlo(ns, sc)
-    if command == "validate-mean":
-        ns = argparse.Namespace(**vars(base), realizations=config["realizations"])
-        return cmd_validate_mean(ns, sc)
-    raise ConfigError(f"manifest: unknown command {command!r}")
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "headway": cmd_headway,
+    "stability": cmd_stability,
+    "bound": cmd_bound,
+    "montecarlo": cmd_montecarlo,
+    "validate-mean": cmd_validate_mean,
+    "rerun": cmd_rerun,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--realization", type=int, default=0, help="realization index (default 0)")
     p.add_argument("--states", action="store_true", help="also write full state trajectories")
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("headway", help="minimum string-stable time headway")
     p.add_argument("--tau", type=float, required=True, help="actuation lag (s)")
@@ -387,34 +370,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Gilbert parameters; gamma computed analytically")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     add_common(p, scenario=False)
-    p.set_defaults(fn=cmd_headway)
 
     p = sub.add_parser("stability", help="string-stability report and frequency response")
     add_common(p)
-    p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("bound", help="worst-case spacing-error bound vs simulation")
     add_common(p)
     p.add_argument("--alpha-star", type=float, default=0.0, help="initial-error budget")
-    p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("montecarlo", help="seeded safety study (collision statistics)")
     add_common(p)
     p.add_argument("--mode", choices=("acc", "cacc"), default=None,
                    help="override the controller mode")
     p.add_argument("--realizations", type=int, default=None, help="override realization count")
-    p.set_defaults(fn=cmd_montecarlo)
 
     p = sub.add_parser("validate-mean", help="stochastic mean vs deterministic equivalent")
     add_common(p)
     p.add_argument("--realizations", type=int, required=True)
-    p.set_defaults(fn=cmd_validate_mean)
 
     p = sub.add_parser("rerun", help="re-execute a run manifest")
     p.add_argument("manifest", help="manifest.json written by a previous run")
     p.add_argument("--out", default=None, help="output directory (default: manifest's directory)")
-    p.set_defaults(fn=cmd_rerun)
 
+    for name, p in sub.choices.items():
+        p.set_defaults(fn=COMMANDS[name])
     return parser
 
 

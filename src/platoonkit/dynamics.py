@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "LeaderProfile",
     "zoh_coefficients",
     "step_vehicle",
+    "leader_command",
     "leader_input",
     "spacing_error",
     "stop_crossing_time",
@@ -166,34 +169,31 @@ def step_vehicle(state: VehicleState, u: float, dt: float, params: VehicleParams
     return VehicleState(x_next, v_next, a_next)
 
 
-def _segment_command(seg: LeaderSegment, v: float) -> float:
-    """Segment command with velocity hold applied."""
-    if seg.target_velocity is None or seg.u == 0.0:
-        return seg.u
-    if seg.u < 0.0 and v <= seg.target_velocity:
+def leader_command(profile: LeaderProfile, t: float, v):
+    """Commanded input of the lead vehicle at time t and velocity v (a float or an array).
+
+    The active segment is the last one starting at or before t.  Its command
+    reverts to 0 where v has reached the segment's target velocity in the
+    direction of the command (velocity hold).  An empty profile commands 0.
+    """
+    active = None
+    for seg in profile.segments:
+        if seg.start_time > t:
+            break
+        active = seg
+    if active is None:
         return 0.0
-    if seg.u > 0.0 and v >= seg.target_velocity:
-        return 0.0
-    return seg.u
+    if active.target_velocity is None or active.u == 0.0:
+        return active.u
+    held = v <= active.target_velocity if active.u < 0.0 else v >= active.target_velocity
+    return np.where(held, 0.0, active.u)
 
 
 def leader_input(profile: LeaderProfile, state: VehicleState, t: float) -> float:
-    """Commanded input of the lead vehicle at time t.
-
-    Returns the active segment's command, or 0 once the segment's target
-    velocity has been reached.  An empty profile commands 0 throughout.
-    """
+    """leader_command for one lead-vehicle state, as a float."""
     if t < 0:
         raise InvalidInputError(f"t must be nonnegative, got {t}")
-    active = None
-    for seg in profile.segments:
-        if seg.start_time <= t:
-            active = seg
-        else:
-            break
-    if active is None:
-        return 0.0
-    return _segment_command(active, state.v)
+    return float(leader_command(profile, t, state.v))
 
 
 def spacing_error(follower: VehicleState, predecessor: VehicleState, h_w: float, d: float) -> float:

@@ -25,9 +25,9 @@ from .channel import GilbertParams, gamma_analytic
 from .control import ControllerConfig
 from .dynamics import (
     LeaderProfile,
-    LeaderSegment,
     VehicleParams,
     _position_delta_at,
+    leader_command,
     stop_crossing_time,
     zoh_coefficients,
 )
@@ -40,14 +40,12 @@ __all__ = [
     "RealizationResult",
     "SafetyStats",
     "MeanValidationReport",
-    "sample_decel_limits",
+    "deterministic_equivalent",
     "detect_collisions",
     "run_realization",
     "run_realizations",
-    "aggregate_stats",
     "run_safety_study",
     "validate_mean_trajectory",
-    "cacc_system_matrix",
 ]
 
 STREAM_CHANNEL = 0
@@ -80,10 +78,6 @@ class ChannelSpec:
                 raise ConfigError("channel.gilbert: parameters required for kind='gilbert'")
         elif self.kind != "ideal":
             raise ConfigError(f"channel.kind: unknown kind {self.kind!r}")
-
-    @property
-    def stochastic(self) -> bool:
-        return self.kind in ("iid", "gilbert")
 
     def effective_gamma(self) -> float:
         """Reception probability used by the deterministic equivalent."""
@@ -136,13 +130,6 @@ class DecelDistribution:
         return self.low, self.high
 
 
-def sample_decel_limits(dist: DecelDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. deceleration-limit draws (m/s^2, positive magnitudes)."""
-    if n <= 0:
-        raise InvalidInputError(f"n must be positive, got {n}")
-    return dist.sample(n, rng)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully specified platoon experiment."""
@@ -191,6 +178,13 @@ class ScenarioConfig:
         return np.arange(self.n_steps + 1) * self.dt
 
 
+def deterministic_equivalent(sc: ScenarioConfig) -> ScenarioConfig:
+    """The scenario with each reception indicator replaced by its expectation gamma."""
+    return dataclasses.replace(
+        sc, channel=ChannelSpec(kind="deterministic", gamma=sc.channel.effective_gamma())
+    )
+
+
 @dataclass(frozen=True)
 class RealizationResult:
     """Outcome of one seeded realization."""
@@ -235,18 +229,18 @@ class MeanValidationReport:
     max_normalized: float
 
 
-def detect_collisions(positions, lengths) -> list[tuple[int, int]]:
-    """Overlapping adjacent pairs, given leader-first positions and body lengths.
+def detect_collisions(positions, lengths) -> np.ndarray:
+    """Overlap mask of adjacent pairs over the last axis of leader-first positions.
 
-    A pair collides when the bumper-to-bumper gap x_{i-1} - x_i - length_{i-1}
-    is <= 0.  Returns (lead_index, follower_index) tuples.
+    Entry p is True when the bumper-to-bumper gap x_p - x_{p+1} - length_p
+    is <= 0 (vehicle p+1 has run into vehicle p).  lengths holds one body
+    length per vehicle.
     """
     x = np.asarray(positions, dtype=float)
     ln = np.asarray(lengths, dtype=float)
-    if x.ndim != 1 or ln.shape != x.shape:
-        raise InvalidInputError("positions and lengths must be 1-D and equal length")
-    gaps = x[:-1] - x[1:] - ln[:-1]
-    return [(i, i + 1) for i in np.nonzero(gaps <= 0.0)[0]]
+    if x.ndim < 1 or ln.shape != x.shape[-1:]:
+        raise InvalidInputError("lengths must be 1-D, one per vehicle on the last axis of positions")
+    return x[..., :-1] - x[..., 1:] - ln[:-1] <= 0.0
 
 
 def _channel_rng(base_seed: int, realization: int, pair: int) -> np.random.Generator:
@@ -299,16 +293,6 @@ def _decel_limits(sc: ScenarioConfig, indices: np.ndarray) -> np.ndarray:
     return out
 
 
-def _active_segment(profile: LeaderProfile, t: float) -> LeaderSegment | None:
-    active = None
-    for seg in profile.segments:
-        if seg.start_time <= t:
-            active = seg
-        else:
-            break
-    return active
-
-
 def _simulate_batch(
     sc: ScenarioConfig,
     indices: np.ndarray,
@@ -319,9 +303,9 @@ def _simulate_batch(
 ):
     """Propagate a batch of realizations; the single engine behind every study.
 
-    Returns (err_series, peaks, events_per_realization, limits, states).
-    err_series and states are None unless requested.  on_step(k, x, v, a, e)
-    is invoked at every recorded grid point with the current batch arrays.
+    Returns (err_series, states, events_per_realization, limits).  err_series
+    and states are None unless requested.  on_step(k, x, v, a, e) is invoked
+    at every recorded grid point with the current batch arrays.
     """
     indices = np.asarray(indices, dtype=int)
     R, M, F, T = len(indices), sc.n_vehicles, sc.n_followers, sc.n_steps
@@ -339,6 +323,7 @@ def _simulate_batch(
 
     limits = _decel_limits(sc, indices)
     accel_limit = sc.params.accel_limit
+    lengths = np.full(M, sc.params.length)
 
     x = np.empty((R, M))
     v = np.full((R, M), float(sc.initial_speed))
@@ -354,11 +339,9 @@ def _simulate_batch(
 
     err_series = np.empty((R, T + 1, F)) if collect_errors else None
     states = np.empty((R, T + 1, M, 3)) if include_states else None
-    peaks = np.zeros((R, F))
 
     def record(k: int) -> np.ndarray:
         e = x[:, 1:] - x[:, :-1] + d + hw * v[:, 1:]
-        np.maximum(peaks, np.abs(e), out=peaks)
         if err_series is not None:
             err_series[:, k] = e
         if states is not None:
@@ -372,20 +355,10 @@ def _simulate_batch(
     e_cur = record(0)
     u = np.empty((R, M))
     for k in range(T):
-        t = k * dt
-
         if sc.leader_brakes_at_limit:
             u[:, 0] = np.where(v[:, 0] > 0.0, -limits[:, 0], 0.0)
         else:
-            seg = _active_segment(sc.leader, t)
-            if seg is None or seg.u == 0.0:
-                u[:, 0] = 0.0 if seg is None else seg.u
-            elif seg.target_velocity is None:
-                u[:, 0] = seg.u
-            elif seg.u < 0.0:
-                u[:, 0] = np.where(v[:, 0] <= seg.target_velocity, 0.0, seg.u)
-            else:
-                u[:, 0] = np.where(v[:, 0] >= seg.target_velocity, 0.0, seg.u)
+            u[:, 0] = leader_command(sc.leader, k * dt, v[:, 0])
 
         if recv is not None:
             ff = np.where(recv[:, :, k], cfg.k_a * a[:, :-1], 0.0)
@@ -415,8 +388,7 @@ def _simulate_batch(
         v = np.where(frozen, 0.0, v_n)
         a = np.where(frozen, 0.0, a_n)
 
-        gap = x[:, :-1] - x[:, 1:] - sc.params.length
-        hit = (gap <= 0.0) & ~collided_pair
+        hit = detect_collisions(x, lengths) & ~collided_pair
         if hit.any():
             t_hit = (k + 1) * dt
             collided_pair |= hit
@@ -433,37 +405,48 @@ def _simulate_batch(
 
         e_cur = record(k + 1)
 
-    return err_series, peaks, events, limits, states
+    return err_series, states, events, limits
 
 
-def run_realization(
-    sc: ScenarioConfig, realization_index: int, include_states: bool = False
-) -> RealizationResult:
-    """Simulate one seeded realization in full."""
-    if realization_index < 0:
-        raise ConfigError("realization_index must be nonnegative")
-    err, _, events, limits, states = _simulate_batch(
-        sc, np.array([realization_index]), collect_errors=True, include_states=include_states
-    )
-    evs = tuple(events[0])
-    return RealizationResult(
-        index=realization_index,
-        times=sc.times(),
-        spacing_errors=err[0],
-        collision_events=evs,
-        collided=bool(evs),
-        decel_limits=limits[0],
-        states=states[0] if include_states else None,
-    )
-
-
-def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
-    """Simulate several realizations (batched; identical to one-at-a-time runs)."""
+def _batches(sc: ScenarioConfig, indices, **engine):
+    """Run the engine over indices in fixed BATCH_SIZE chunks, yielding (chunk, result)."""
     indices = np.asarray(indices, dtype=int)
-    out: list[RealizationResult] = []
     for lo in range(0, len(indices), BATCH_SIZE):
         chunk = indices[lo : lo + BATCH_SIZE]
-        err, _, events, limits, _ = _simulate_batch(sc, chunk, collect_errors=True)
+        yield chunk, _simulate_batch(sc, chunk, **engine)
+
+
+def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample, mode: str | None = None):
+    """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1.
+
+    sample returns one row of the given shape per realization of the batch.
+    Also returns every realization's collision events, in index order.  The
+    variance is zero for n < 2.
+    """
+    total = np.zeros((sc.n_steps + 1,) + shape)
+    sumsq = np.zeros_like(total)
+
+    def on_step(k, x, v, a, e):
+        rows = sample(k, x, v, a, e)
+        total[k] += rows.sum(axis=0)
+        sumsq[k] += (rows * rows).sum(axis=0)
+
+    events = []
+    for _, (_, _, evs, _) in _batches(sc, np.arange(n), mode=mode, on_step=on_step):
+        events += evs
+    if n < 2:
+        return total, np.zeros_like(total), events
+    var = (sumsq - total * total / n) / (n - 1)
+    np.maximum(var, 0.0, out=var)
+    return total, var, events
+
+
+def run_realizations(sc: ScenarioConfig, indices, include_states: bool = False) -> list[RealizationResult]:
+    """Simulate several realizations (batched; identical to one-at-a-time runs)."""
+    out: list[RealizationResult] = []
+    for chunk, (err, states, events, limits) in _batches(
+        sc, indices, collect_errors=True, include_states=include_states
+    ):
         for j, idx in enumerate(chunk):
             evs = tuple(events[j])
             out.append(
@@ -474,37 +457,17 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
                     collision_events=evs,
                     collided=bool(evs),
                     decel_limits=limits[j],
+                    states=states[j] if include_states else None,
                 )
             )
     return out
 
 
-def aggregate_stats(results: list[RealizationResult]) -> SafetyStats:
-    """Collision statistics and per-step cross-realization error variance.
-
-    mean_events_per_unstable averages over collided realizations only and is
-    None when nothing collided.  The unbiased variance needs at least two
-    realizations; it is reported as zeros otherwise.
-    """
-    if not results:
-        raise InvalidInputError("aggregate_stats requires a non-empty result list")
-    n = len(results)
-    n_collided = sum(r.collided for r in results)
-    event_counts = [len(r.collision_events) for r in results if r.collided]
-    mean_events = float(np.mean(event_counts)) if event_counts else None
-    stack = np.stack([r.spacing_errors for r in results])
-    if n >= 2:
-        variance = stack.var(axis=0, ddof=1)
-    else:
-        variance = np.zeros_like(stack[0])
-    return SafetyStats(
-        n_realizations=n,
-        n_collided=n_collided,
-        p_collision=n_collided / n,
-        mean_events_per_unstable=mean_events,
-        variance_series=variance,
-        times=results[0].times,
-    )
+def run_realization(sc: ScenarioConfig, realization_index: int) -> RealizationResult:
+    """Simulate one seeded realization in full, state trajectories included."""
+    if realization_index < 0:
+        raise ConfigError("realization_index must be nonnegative")
+    return run_realizations(sc, [realization_index], include_states=True)[0]
 
 
 def run_safety_study(
@@ -513,11 +476,13 @@ def run_safety_study(
     realizations: int | None = None,
     base_seed: int | None = None,
 ) -> SafetyStats:
-    """Streamed many-realization study; equivalent to aggregate_stats(run_realizations).
+    """Collision statistics and per-step cross-realization error variance, streamed.
 
     mode ('acc'/'cacc') overrides the configured controller mode so both
     platoon types can be compared on identical deceleration draws (the decel
     stream depends only on base seed and realization index).
+    mean_events_per_unstable averages over collided realizations only and is
+    None when nothing collided.
     """
     if realizations is not None or base_seed is not None:
         sc = dataclasses.replace(
@@ -525,29 +490,10 @@ def run_safety_study(
             realizations=realizations if realizations is not None else sc.realizations,
             base_seed=base_seed if base_seed is not None else sc.base_seed,
         )
-    n, T, F = sc.realizations, sc.n_steps, sc.n_followers
-    sum_e = np.zeros((T + 1, F))
-    sumsq_e = np.zeros((T + 1, F))
-    n_collided = 0
-    event_total = 0
-
-    def on_step(k, x, v, a, e):
-        sum_e[k] += e.sum(axis=0)
-        sumsq_e[k] += (e * e).sum(axis=0)
-
-    for lo in range(0, n, BATCH_SIZE):
-        idx = np.arange(lo, min(lo + BATCH_SIZE, n))
-        _, _, events, _, _ = _simulate_batch(sc, idx, mode=mode, on_step=on_step)
-        for evs in events:
-            if evs:
-                n_collided += 1
-                event_total += len(evs)
-
-    if n >= 2:
-        variance = (sumsq_e - sum_e * sum_e / n) / (n - 1)
-        np.maximum(variance, 0.0, out=variance)
-    else:
-        variance = np.zeros_like(sum_e)
+    n = sc.realizations
+    _, variance, events = _moments(sc, n, (sc.n_followers,), lambda k, x, v, a, e: e, mode=mode)
+    n_collided = sum(1 for evs in events if evs)
+    event_total = sum(len(evs) for evs in events)
     return SafetyStats(
         n_realizations=n,
         n_collided=n_collided,
@@ -574,41 +520,17 @@ def validate_mean_trajectory(
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
     if base_seed is not None:
         sc = dataclasses.replace(sc, base_seed=base_seed)
-    T, M = sc.n_steps, sc.n_vehicles
+    M = sc.n_vehicles
 
-    det_sc = dataclasses.replace(
-        sc, channel=ChannelSpec(kind="deterministic", gamma=sc.channel.effective_gamma())
-    )
-    det = np.empty((T + 1, M, 3))
-
-    def on_det(k, x, v, a, e):
-        det[k, :, 0] = x[0]
-        det[k, :, 1] = v[0]
-        det[k, :, 2] = a[0]
-
-    _simulate_batch(det_sc, np.array([0]), on_step=on_det)
+    det = run_realization(deterministic_equivalent(sc), 0).states
 
     # Accumulate deviations centered on the deterministic trajectory: states
     # carry hundreds of metres while their spread is millimetres, so the raw
     # sum-of-squares variance would cancel catastrophically.  Centered, the
     # leader and every pre-noise sample stay exactly zero.
-    sum_c = np.zeros((T + 1, M, 3))
-    sumsq_c = np.zeros((T + 1, M, 3))
-
-    def on_step(k, x, v, a, e):
-        diff = np.stack([x, v, a], axis=-1) - det[k]
-        sum_c[k] += diff.sum(axis=0)
-        sumsq_c[k] += (diff * diff).sum(axis=0)
-
-    for lo in range(0, n_realizations, BATCH_SIZE):
-        idx = np.arange(lo, min(lo + BATCH_SIZE, n_realizations))
-        _simulate_batch(sc, idx, on_step=on_step)
-
-    if n_realizations >= 2:
-        var = (sumsq_c - sum_c * sum_c / n_realizations) / (n_realizations - 1)
-        np.maximum(var, 0.0, out=var)
-    else:
-        var = np.zeros_like(sum_c)
+    sum_c, var, _ = _moments(
+        sc, n_realizations, (M, 3), lambda k, x, v, a, e: np.stack([x, v, a], axis=-1) - det[k]
+    )
     envelope = 3.0 * np.sqrt(var / n_realizations)
 
     dev = np.abs(sum_c / n_realizations)
@@ -632,31 +554,3 @@ def validate_mean_trajectory(
         max_normalized=max_normalized,
     )
 
-
-def cacc_system_matrix(
-    cfg: ControllerConfig, tau: float, receptions, d_ignored: float = 0.0
-) -> np.ndarray:
-    """Stacked platoon system matrix with explicit reception indicators.
-
-    State ordering (x_0, v_0, a_0, x_1, v_1, a_1, ...); receptions[i] is the
-    indicator (or its expectation) on the link into follower i+1.  The
-    standstill gap enters the affine input term only, never this matrix.
-    """
-    w = np.asarray(receptions, dtype=float)
-    n_follow = len(w)
-    m = 3 * (n_follow + 1)
-    A = np.zeros((m, m))
-    A[0, 1] = 1.0
-    A[1, 2] = 1.0
-    A[2, 2] = -1.0 / tau
-    for i in range(1, n_follow + 1):
-        r = 3 * i
-        A[r, r + 1] = 1.0
-        A[r + 1, r + 2] = 1.0
-        A[r + 2, r - 3] = cfg.k_p / tau                       # x_{i-1}
-        A[r + 2, r - 2] = cfg.k_v / tau                       # v_{i-1}
-        A[r + 2, r - 1] = w[i - 1] * cfg.k_a / tau            # a_{i-1} (communicated)
-        A[r + 2, r] = -cfg.k_p / tau                          # x_i
-        A[r + 2, r + 1] = -(cfg.k_v + cfg.k_p * cfg.h_w) / tau  # v_i
-        A[r + 2, r + 2] = -1.0 / tau                          # a_i
-    return A

@@ -23,6 +23,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -65,9 +66,12 @@ class _Section:
     def get_float(self, key: str, default: str | None = None) -> float:
         raw = self.get(key, default)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{self.name}.{key}: expected a number, got {raw!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{self.name}.{key}: must be finite, got {raw!r}")
+        return value
 
     def get_int(self, key: str, default: str | None = None) -> int:
         raw = self.get(key, default)
@@ -90,11 +94,13 @@ def _parse_segments(raw: str) -> LeaderProfile:
                 f"leader.segments: each segment is 'start_s u_mps2 [target_mps]', got {part!r}"
             )
         try:
-            start = float(fields[0])
-            u = float(fields[1])
-            target = float(fields[2]) if len(fields) == 3 else None
+            values = [float(f) for f in fields]
         except ValueError:
             raise ConfigError(f"leader.segments: malformed segment {part!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"leader.segments: non-finite value in segment {part!r}")
+        start, u = values[:2]
+        target = values[2] if len(values) == 3 else None
         segments.append(LeaderSegment(start, u, target))
     try:
         return LeaderProfile(tuple(segments))
@@ -104,7 +110,8 @@ def _parse_segments(raw: str) -> LeaderProfile:
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Build a ScenarioConfig from scenario-file text."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # ';' separates leader segments, so only '#' starts an inline comment
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -31,7 +31,6 @@ from platoonkit.control import ControllerConfig, min_headway
 from platoonkit.errors import InsufficientHorizonWarning
 from platoonkit.montecarlo import (
     _simulate_batch,
-    cacc_system_matrix,
     run_safety_study,
     validate_mean_trajectory,
 )
@@ -40,10 +39,12 @@ from platoonkit.stability import (
     STABILITY_TOL,
     build_error_system,
     cacc_error_tf,
+    cacc_system_matrix,
     freq_response_mag,
     hinf_norm,
     impulse_l1,
     is_string_stable,
+    parseval_energies,
     uniform_error_bound,
 )
 from test_stability import exact_chain_max_errors
@@ -86,36 +87,19 @@ def test_criterion_2_headway_bounds():
 # ---------------------------------------------------------------- criterion 3
 @pytest.fixture(scope="module")
 def fig_peak_errors():
-    """Peaks and mean spacing-error trajectory of 100 seeded runs per figure scenario."""
+    """Gap-opening peaks and mean spacing-error trajectory of 100 seeded runs per figure scenario."""
     t0 = time.perf_counter()
     out = {}
     for name in ("fig2", "fig3"):
         sc = load_scenario(SCENARIOS / f"{name}.scn")
-        err, peaks, _, _, _ = _simulate_batch(sc, np.arange(100), collect_errors=True)
+        err = _simulate_batch(sc, np.arange(100), collect_errors=True)[0]
         out[name] = {
             "scenario": sc,
-            "abs": peaks,
             "open": np.maximum(0.0, -err).max(axis=1),
             "mean": err.mean(axis=0),
         }
     out["elapsed"] = time.perf_counter() - t0
     return out
-
-
-def parseval_energies(err, dt, tf):
-    """Per-column energy sum(e^2)*dt of err from its rFFT: total, and inside
-    Omega+ = {w : |H(jw)| > 1} of tf, with the number of Omega+ bins."""
-    n = err.shape[0]
-    spec = np.fft.rfft(err, axis=0)
-    s = 1j * 2.0 * np.pi * np.fft.rfftfreq(n, dt)
-    mag = np.abs(np.polynomial.polynomial.polyval(s, tf.num) / np.polynomial.polynomial.polyval(s, tf.den))
-    weight = np.full(s.size, 2.0)  # one-sided spectrum: +-w counted once each
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
-    density = (weight[:, None] * dt / n) * np.abs(spec) ** 2
-    band = mag > 1.0
-    return density.sum(axis=0), density[band].sum(axis=0), int(band.sum())
 
 
 def test_criterion_3_fig2_fig3_literal(fig_peak_errors):
@@ -127,8 +111,8 @@ def test_criterion_3_fig2_fig3_literal(fig_peak_errors):
     for name in ("fig2", "fig3"):
         sc = fig_peak_errors[name]["scenario"]
         tf = cacc_error_tf(sc.controller, sc.params.tau, sc.channel.effective_gamma())
-        total, in_band, n_band = parseval_energies(fig_peak_errors[name]["mean"], sc.dt, tf)
-        facts[name] = (hinf_norm(tf).norm, total, in_band, n_band)
+        total, in_band, omega_band = parseval_energies(fig_peak_errors[name]["mean"], sc.dt, tf)
+        facts[name] = (hinf_norm(tf).norm, total, in_band, omega_band.size)
 
     hinf_075, _, band_075, n_band_075 = facts["fig2"]
     ratios = band_075[1:] / band_075[:-1]

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from platoonkit.dynamics import LeaderSegment
 from platoonkit.errors import ConfigError
 from platoonkit.scenario import (
     config_hash,
@@ -85,6 +86,34 @@ class TestParsing:
     def test_bad_segment_rejected(self):
         with pytest.raises(ConfigError, match="leader.segments"):
             parse_scenario(MINIMAL.replace("segments = 0 0; 5 -3 10", "segments = 0"))
+
+    def test_spaced_segment_separator_keeps_every_segment(self):
+        # ' ;' must not start an inline comment that swallows the maneuver
+        sc = parse_scenario(MINIMAL.replace("segments = 0 0; 5 -3 10", "segments = 0 0 ; 10 -9 16"))
+        assert sc.leader.segments == (LeaderSegment(0.0, 0.0), LeaderSegment(10.0, -9.0, 16.0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, line", [
+        ("platoon.initial_speed_mps", "initial_speed_mps = 20"),
+        ("platoon.standstill_gap_m", None),
+        ("controller.hw_s", "hw_s = 1.0"),
+        ("sim.duration_s", "duration_s = 12"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, key, line, value):
+        name = key.split(".")[1]
+        if line is None:  # not in MINIMAL: add it to its section
+            text = MINIMAL.replace("n_followers = 2", f"n_followers = 2\n{name} = {value}")
+        else:
+            text = MINIMAL.replace(line, f"{name} = {value}")
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario(text)
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+    def test_non_finite_segment_rejected(self):
+        with pytest.raises(ConfigError, match="leader.segments"):
+            parse_scenario(MINIMAL.replace("segments = 0 0; 5 -3 10", "segments = 0 0; 5 -3 nan"))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -221,13 +250,32 @@ class TestCli:
         assert rec["within_envelope"] == "1"
 
     def test_rerun_reproduces_bytes(self, tmp_path):
-        scn = self.write_minimal(tmp_path)
-        out1 = tmp_path / "a"
-        main(["simulate", str(scn), "--out", str(out1)])
-        out2 = tmp_path / "b"
-        assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == EXIT_OK
-        assert file_hash(out1 / "spacing_errors.csv") == file_hash(out2 / "spacing_errors.csv")
-        assert file_hash(out1 / "summary.txt") == file_hash(out2 / "summary.txt")
+        scn = str(self.write_minimal(tmp_path))
+        short = {  # the shipped studies cut to a few seconds
+            name: tmp_path / f"{name}.scn" for name in ("safety", "fig3")
+        }
+        for name, path in short.items():
+            text = (SCENARIOS / f"{name}.scn").read_text()
+            path.write_text(text.replace("duration_s = 25", "duration_s = 6")
+                                .replace("duration_s = 40", "duration_s = 12"))
+        runs = {
+            "headway": ["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "0.3", "0.1", "0.2"],
+            "simulate": ["simulate", scn, "--states", "--realization", "2", "--seed", "5"],
+            "stability": ["stability", scn],
+            "bound": ["bound", scn, "--alpha-star", "0.5"],
+            "montecarlo": ["montecarlo", str(short["safety"]), "--mode", "acc", "--realizations", "30"],
+            "validate-mean": ["validate-mean", str(short["fig3"]), "--realizations", "20"],
+        }
+        for command, argv in runs.items():
+            out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+            assert main(argv + ["--out", str(out1)]) == EXIT_OK
+            assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == EXIT_OK
+            files = sorted(p.name for p in out1.iterdir())
+            manifest = json.loads((out1 / "manifest.json").read_text())
+            assert files == sorted(manifest["outputs"] + ["manifest.json"])
+            assert sorted(p.name for p in out2.iterdir()) == files
+            for name in files:
+                assert file_hash(out1 / name) == file_hash(out2 / name), (command, name)
 
     def test_rerun_rejects_tampered_manifest(self, tmp_path):
         scn = self.write_minimal(tmp_path)

@@ -25,6 +25,7 @@ from platoonkit.stability import (
     l2_norm_signal,
     lead_input_tf,
     lyapunov_solve,
+    parseval_energies,
     uniform_error_bound,
 )
 
@@ -200,6 +201,24 @@ class TestFreqResponse:
         tf = cacc_error_tf(ControllerConfig(h_w=0.75, **figure_gains), 0.5, 0.4)
         peak_w = 1.1585
         assert freq_response_mag(tf, peak_w) > 1.0
+
+    def test_array_of_omegas(self):
+        tf = TransferFunction((1.0,), (1.0, 1.0))
+        w = np.array([0.0, 1.0, 3.0])
+        assert np.allclose(freq_response_mag(tf, w), 1.0 / np.sqrt(1.0 + w * w), rtol=1e-15, atol=0.0)
+        with pytest.raises(InvalidInputError):
+            freq_response_mag(tf, np.array([1.0, -1.0]))
+
+
+class TestParsevalEnergies:
+    def test_total_is_time_domain_energy(self, figure_gains):
+        tf = cacc_error_tf(ControllerConfig(h_w=0.75, **figure_gains), 0.5, 0.4)
+        err = np.random.default_rng(5).standard_normal((401, 2))
+        for n in (400, 401):  # even records have an unpaired Nyquist bin
+            total, in_band, omega_band = parseval_energies(err[:n], 0.1, tf)
+            assert np.allclose(total, 0.1 * (err[:n] ** 2).sum(axis=0), rtol=1e-12, atol=0.0)
+            assert omega_band.size > 0 and np.all(freq_response_mag(tf, omega_band) > 1.0)
+            assert np.all((0.0 < in_band) & (in_band < total))
 
 
 class TestHinfNorm:

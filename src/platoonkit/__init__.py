@@ -32,8 +32,7 @@ from .montecarlo import (
     run_safety_study,
     validate_mean_trajectory,
 )
-from .cli import RunManifest
-from .scenario import load_scenario, parse_scenario
+from .scenario import RunManifest, load_scenario, parse_scenario
 from .stability import (
     BoundReport,
     ErrorSystem,

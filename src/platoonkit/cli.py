@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -31,7 +30,7 @@ from .montecarlo import (
     run_safety_study,
     validate_mean_trajectory,
 )
-from .scenario import config_hash, load_scenario, scenario_from_dict, scenario_to_dict
+from .scenario import RunManifest, load_scenario, scenario_from_dict, scenario_to_dict
 from .stability import (
     build_error_system,
     cacc_error_tf,
@@ -72,45 +71,6 @@ def write_summary(path: Path, fields: dict) -> None:
     """Single-line structured record: space-separated key=value pairs."""
     line = " ".join(f"{k}={v}" for k, v in fields.items())
     path.write_text(line + "\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one command invocation, sufficient to reproduce its outputs."""
-
-    command: str
-    config: dict
-    base_seed: int | None
-    version: str = __version__
-    config_sha256: str = ""
-    outputs: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.config_sha256:
-            object.__setattr__(self, "config_sha256", config_hash(self.config))
-
-    def write(self, out: Path) -> Path:
-        path = out / "manifest.json"
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: Path) -> "RunManifest":
-        try:
-            data = json.loads(path.read_text())
-            manifest = cls(
-                command=data["command"],
-                config=data["config"],
-                base_seed=data.get("base_seed"),
-                version=data.get("version", ""),
-                config_sha256="",
-                outputs=list(data.get("outputs", [])),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ConfigError(f"manifest: malformed ({exc})") from None
-        if data.get("config_sha256") != manifest.config_sha256:
-            raise ConfigError("manifest: config hash mismatch")
-        return manifest
 
 
 def write_manifest(
@@ -244,24 +204,24 @@ def cmd_bound(args: argparse.Namespace) -> int:
     w0 = result.states[:, 0, 2]  # realized lead-vehicle acceleration
     sim_max = float(np.abs(result.spacing_errors).max())
 
-    reports = {
-        variant: uniform_error_bound(sys_, args.alpha_star, w0, sc.dt, sqrt_gain=(variant == "sqrt_trace"))
-        for variant in ("trace", "sqrt_trace")
+    rep = uniform_error_bound(sys_, args.alpha_star, w0, sc.dt)
+    summary = {
+        "command": "bound",
+        "alpha_star": _fmt(args.alpha_star),
+        "simulated_max_error_m": _fmt(sim_max),
+        "bound_trace_m": _fmt(rep.bound_trace),
+        "j_star_trace": _fmt(rep.j_star_trace),
+        "bound_sqrt_trace_m": _fmt(rep.bound),
+        "j_star_sqrt_trace": _fmt(rep.j_star),
+        "beta2": _fmt(rep.beta2),
+        "gamma2": _fmt(rep.gamma2),
+        "eta": _fmt(rep.eta),
+        "w0_l2": _fmt(rep.w0_l2),
     }
-    summary: dict = {"command": "bound", "alpha_star": _fmt(args.alpha_star),
-                     "simulated_max_error_m": _fmt(sim_max)}
-    for variant, rep in reports.items():
-        summary[f"bound_{variant}_m"] = _fmt(rep.bound)
-        summary[f"j_star_{variant}"] = _fmt(rep.j_star)
-    rep = reports["trace"]
-    summary.update(
-        beta2=_fmt(rep.beta2), gamma2=_fmt(rep.gamma2), eta=_fmt(rep.eta), w0_l2=_fmt(rep.w0_l2)
-    )
     write_summary(out / "bound.txt", summary)
     write_manifest(out, "bound", {"scenario": scenario_to_dict(sc), "alpha_star": args.alpha_star},
                    sc.base_seed, ["bound.txt"])
-    print(f"bound(trace)={reports['trace'].bound:.4f} m  "
-          f"bound(sqrt_trace)={reports['sqrt_trace'].bound:.4f} m  "
+    print(f"bound(trace)={rep.bound_trace:.4f} m  bound(sqrt_trace)={rep.bound:.4f} m  "
           f"simulated max |e|={sim_max:.4f} m")
     return EXIT_OK
 
@@ -329,7 +289,14 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     # Manifest config keys are the commands' argparse destinations; the one
     # flag no manifest records, headway's --json, only changes what is printed.
     out = Path(args.out) if args.out is not None else path.parent
-    return fn(argparse.Namespace(**manifest.config, json=False, out=str(out)))
+    return fn(_ManifestArgs(**manifest.config, json=False, out=str(out)))
+
+
+class _ManifestArgs(argparse.Namespace):
+    """A command's arguments read from a manifest config; a missing key is a ConfigError."""
+
+    def __getattr__(self, name: str):
+        raise ConfigError(f"manifest: config lacks key {name!r}")
 
 
 COMMANDS = {

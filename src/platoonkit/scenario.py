@@ -15,25 +15,31 @@ Example:
 Parsing is strict: unknown keys, missing keys and malformed values raise
 ConfigError naming the offending `section.key`.  A scenario round-trips
 through a plain dict for manifests, and the dict's canonical JSON hash
-identifies the resolved configuration.
+identifies the resolved configuration in each `RunManifest`.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from . import __version__
 from .channel import GilbertParams
 from .control import ControllerConfig
 from .dynamics import LeaderProfile, LeaderSegment, VehicleParams
 from .errors import ConfigError, InvalidInputError, PlatoonKitError
 from .montecarlo import ChannelSpec, DecelDistribution, ScenarioConfig
 
-__all__ = ["load_scenario", "parse_scenario", "scenario_to_dict", "scenario_from_dict", "config_hash"]
+__all__ = [
+    "load_scenario", "parse_scenario", "scenario_to_dict", "scenario_from_dict", "config_hash",
+    "RunManifest",
+]
 
 _KNOWN_KEYS = {
     "platoon": {
@@ -310,3 +316,42 @@ def config_hash(data: dict[str, Any]) -> str:
     """SHA-256 of the canonical JSON form of a resolved configuration."""
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@dataclass(frozen=True)
+class RunManifest:
+    """Record of one command invocation, sufficient to reproduce its outputs."""
+
+    command: str
+    config: dict
+    base_seed: int | None
+    version: str = __version__
+    config_sha256: str = ""
+    outputs: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.config_sha256:
+            object.__setattr__(self, "config_sha256", config_hash(self.config))
+
+    def write(self, out: Path) -> Path:
+        path = out / "manifest.json"
+        path.write_text(json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n")
+        return path
+
+    @classmethod
+    def load(cls, path: Path) -> "RunManifest":
+        try:
+            data = json.loads(path.read_text())
+            manifest = cls(
+                command=data["command"],
+                config=data["config"],
+                base_seed=data.get("base_seed"),
+                version=data.get("version", ""),
+                config_sha256="",
+                outputs=list(data.get("outputs", [])),
+            )
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"manifest: malformed ({exc})") from None
+        if data.get("config_sha256") != manifest.config_sha256:
+            raise ConfigError("manifest: config hash mismatch")
+        return manifest

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -208,18 +208,12 @@ class HinfResult:
         return self.norm
 
 
-def _grid_sup(
-    magfn: Callable[[np.ndarray], np.ndarray],
-    wmin: float = HINF_WMIN,
-    wmax: float = HINF_WMAX,
-    points: int = HINF_POINTS,
-) -> tuple[float, float]:
-    """Sup of a magnitude function over {0} + log grid, golden-refined at the argmax."""
-    grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), points)])
+def _grid_sup(magfn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> tuple[float, float]:
+    """Sup of a magnitude function over an ascending grid, golden-refined at the argmax."""
     mags = magfn(grid)
     k = int(np.argmax(mags))
     best, w_best = float(mags[k]), float(grid[k])
-    lo = grid[k - 1] if k > 0 else 0.0
+    lo = grid[k - 1] if k > 0 else grid[0]
     hi = grid[k + 1] if k + 1 < grid.size else grid[-1]
     if hi > lo:
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -257,7 +251,8 @@ def hinf_norm(
     """
     if not tf.is_stable():
         raise UnstableLoopError("hinf_norm requires a stable transfer function")
-    best, w_best = _grid_sup(lambda w: freq_response_mag(tf, w), wmin, wmax, points)
+    grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), points)])
+    best, w_best = _grid_sup(lambda w: freq_response_mag(tf, w), grid)
     if len(tf.num) == len(tf.den):  # biproper: check the omega -> inf limit
         hf = abs(tf.num[-1] / tf.den[-1])
         if hf > best:
@@ -369,30 +364,38 @@ class ErrorSystem:
     zeta_1' = A0 zeta_1 + D w0   (w0: lead-vehicle acceleration)
     zeta_i' = A0 zeta_i + B y_{i-1},  y_i = C zeta_i  (y_i: spacing error)
 
-    Observer canonical form, so coupling enters through the input matrix and
-    the output is the first state; A0 must be Hurwitz.
+    Built from the per-hop transfer hop = C(sI-A0)^{-1}B and the lead
+    transfer lead = C(sI-A0)^{-1}D, which must be strictly proper over one
+    shared Hurwitz denominator.  A0, B, C, D are the observer form, the
+    transpose of the controllable form, so both numerators enter through the
+    input matrices.
     """
 
-    A0: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    hop: TransferFunction
+    lead: TransferFunction
+    A0: np.ndarray = field(init=False, repr=False, compare=False)
+    B: np.ndarray = field(init=False, repr=False, compare=False)
+    C: np.ndarray = field(init=False, repr=False, compare=False)
+    D: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        A0 = np.atleast_2d(np.asarray(self.A0, dtype=float))
-        n = A0.shape[0]
-        B = np.asarray(self.B, dtype=float).reshape(n, 1)
-        C = np.asarray(self.C, dtype=float).reshape(1, n)
-        D = np.asarray(self.D, dtype=float).reshape(n, 1)
-        if A0.shape != (n, n):
-            raise InvalidInputError("A0 must be square")
-        eigs = np.linalg.eigvals(A0)
-        if np.max(eigs.real) >= 0.0:
-            raise UnstableLoopError(f"A0 is not Hurwitz (max Re eig = {np.max(eigs.real):.6g})")
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        if self.hop.den != self.lead.den:
+            raise InvalidInputError(
+                f"hop and lead transfer functions must share one denominator: "
+                f"{self.hop.den} != {self.lead.den}"
+            )
+        if not self.hop.is_stable():
+            raise UnstableLoopError(
+                f"error-system denominator is not Hurwitz (poles {self.hop.poles()})"
+            )
+        A, Bc, C_hop, d_hop = _strictly_proper_ss(self.hop)
+        _, _, C_lead, d_lead = _strictly_proper_ss(self.lead)
+        if d_hop != 0.0 or d_lead != 0.0:
+            raise InvalidInputError("hop and lead transfer functions must be strictly proper")
+        object.__setattr__(self, "A0", A.T)
+        object.__setattr__(self, "B", C_hop.T)
+        object.__setattr__(self, "C", Bc.T)
+        object.__setattr__(self, "D", C_lead.T)
 
     @property
     def order(self) -> int:
@@ -400,23 +403,8 @@ class ErrorSystem:
 
 
 def build_error_system(cfg: ControllerConfig, tau: float, gamma: float) -> ErrorSystem:
-    """Realize the error chain for a controller configuration.
-
-    Both the per-hop transfer C(sI-A0)^{-1}B and the lead transfer
-    C(sI-A0)^{-1}D share the loop denominator, so a single observer-form A0
-    carries both numerators in B and D.
-    """
-    hop = cacc_error_tf(cfg, tau, gamma)
-    lead = lead_input_tf(cfg, tau, gamma)
-    kp, z, _, t = hop.den  # (kp, kv + kp*hw, 1, tau) ascending
-    a0, a1, a2 = kp / t, z / t, 1.0 / t
-    A0 = np.array([[-a2, 1.0, 0.0], [-a1, 0.0, 1.0], [-a0, 0.0, 0.0]])
-    b0, b1, b2 = (c / t for c in hop.num)
-    B = np.array([[b2], [b1], [b0]])
-    g0, g1 = (c / t for c in lead.num)
-    D = np.array([[0.0], [g1], [g0]])
-    C = np.array([[1.0, 0.0, 0.0]])
-    return ErrorSystem(A0, B, C, D)
+    """Realize the error chain for a controller configuration."""
+    return ErrorSystem(cacc_error_tf(cfg, tau, gamma), lead_input_tf(cfg, tau, gamma))
 
 
 @dataclass(frozen=True)
@@ -424,8 +412,14 @@ class BoundReport:
     """Constants of the worst-case spacing-error bound.
 
     bound = (j_star*beta2 + eta)*alpha_star + j_star*gamma2*w0_l2, where
-    j_star is the L2->Linf gain candidate, beta2 the IC->L2 constant, gamma2
-    the lead L2->L2 gain and eta the IC->Linf constant.
+    j_star = sqrt(trace(C P C^T)) is the Cauchy-Schwarz L2->Linf gain (P the
+    controllability Gramian), beta2 the IC->L2 constant, gamma2 the lead
+    L2->L2 gain and eta the IC->Linf constant.
+
+    bound_trace is the same expression with j_star_trace = trace(C P C^T) in
+    place of j_star.  It is not a bound: it can fall below the simulated
+    maximum (fig3.scn with hw_s = 1.0 and an iid channel at gamma = 0.6 gives
+    1.570 m against a simulated 1.842 m).
     """
 
     j_star: float
@@ -435,78 +429,66 @@ class BoundReport:
     alpha_star: float
     w0_l2: float
     bound: float
-    j_star_variant: str = "trace"
+    j_star_trace: float
+    bound_trace: float
+
+
+ETA_STEPS = 4000
 
 
 def _eta_sup(A0: np.ndarray, C: np.ndarray) -> float:
-    """sup_t ||C exp(A0 t)||_2 on a time grid with a Richardson-style refinement pad."""
-    re = np.abs(np.linalg.eigvals(A0).real)
-    t_max = 40.0 / re.min()
+    """sup_t ||C exp(A0 t)||_2 over 40 slow time constants.
 
-    def sup_on_grid(n: int) -> float:
-        h = t_max / n
-        Ad = scipy.linalg.expm(A0 * h)
-        M = np.eye(A0.shape[0])
-        best = 0.0
-        for _ in range(n + 1):
-            best = max(best, float(np.linalg.norm(C @ M, 2)))
-            M = M @ Ad
-        return best
+    The row C exp(A0 t) is propagated across a linear grid of ETA_STEPS
+    steps h.  Time is counted in steps, so the grid points are the integers
+    and read the propagated rows; a refinement point between them carries the
+    row below it on by one more exponential.
+    """
+    h = 40.0 / np.abs(np.linalg.eigvals(A0).real).min() / ETA_STEPS
+    step = scipy.linalg.expm(A0 * h)
+    rows = np.empty((ETA_STEPS + 1, A0.shape[0]))
+    rows[0] = C[0]
+    for k in range(ETA_STEPS):
+        rows[k + 1] = rows[k] @ step
 
-    s1 = sup_on_grid(2000)
-    s2 = sup_on_grid(4000)
-    return max(s1, s2) + abs(s2 - s1)
+    def row_norms(u: np.ndarray) -> np.ndarray:
+        k = u.astype(int)
+        r = rows[k]
+        for i in np.flatnonzero(u != k):
+            r[i] = r[i] @ scipy.linalg.expm(A0 * (h * (u[i] - k[i])))
+        return np.linalg.norm(r, axis=1)
 
-
-def _ss_mag(A: np.ndarray, Bv: np.ndarray, C: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """|C (jwI - A)^{-1} Bv| as a vectorized function of omega."""
-    n = A.shape[0]
-
-    def mags(w: np.ndarray) -> np.ndarray:
-        out = np.empty(w.shape)
-        for i, wi in enumerate(w):
-            out[i] = abs((C @ np.linalg.solve(1j * wi * np.eye(n) - A, Bv)).item())
-        return out
-
-    return mags
+    return _grid_sup(row_norms, np.arange(ETA_STEPS + 1.0))[0]
 
 
-def uniform_error_bound(
-    sys: ErrorSystem,
-    alpha_star: float,
-    w0: np.ndarray,
-    dt: float,
-    sqrt_gain: bool = False,
-) -> BoundReport:
+def uniform_error_bound(sys: ErrorSystem, alpha_star: float, w0: np.ndarray, dt: float) -> BoundReport:
     """Uniform bound on max_t |y_i(t)| for every vehicle in the string.
 
-    Requires the per-hop transfer to satisfy ||C(jwI-A0)^{-1}B||_inf <= 1
-    (string stability), the lead maneuver w0 in L2 (sampled, ZOH), and the
-    initial errors summable: sum_i ||zeta_i(0)|| <= alpha_star.
-
-    j_star is trace(C P C^T) with P the unique controllability-Gramian
-    solution; sqrt_gain=True uses sqrt(trace(C P C^T)) instead, which is the
-    Cauchy-Schwarz L2->Linf gain.  Only sqrt_gain=True is a proven bound: the
-    trace variant can fall below the simulated maximum (fig3.scn with
-    hw_s = 1.0 and an iid channel at gamma = 0.6 gives 1.570 m against a
-    simulated 1.842 m).
+    Requires the per-hop transfer to satisfy ||hop||_inf <= 1 (string
+    stability), the lead maneuver w0 in L2 (sampled, ZOH), and the initial
+    errors summable: sum_i ||zeta_i(0)|| <= alpha_star.  The L2->Linf gain
+    is the Gramian bound of Ploeg et al., "Lp String Stability of Cascaded
+    Systems" (IEEE TCST 2014).
     """
     if alpha_star < 0:
         raise InvalidInputError(f"alpha_star must be nonnegative, got {alpha_star}")
-    hop_norm, _ = _grid_sup(_ss_mag(sys.A0, sys.B, sys.C))
+    hop_norm = hinf_norm(sys.hop).norm
     if hop_norm > 1.0 + STABILITY_TOL:
         raise UnstableLoopError(
             f"per-hop gain {hop_norm:.6g} > 1: the chained bound hypothesis fails"
         )
     P = lyapunov_solve(sys.A0, sys.B @ sys.B.T)
-    trace_cpc = float(np.trace(sys.C @ P @ sys.C.T))
-    j_star = math.sqrt(trace_cpc) if sqrt_gain else trace_cpc
+    j_star_trace = float(np.trace(sys.C @ P @ sys.C.T))
+    j_star = math.sqrt(j_star_trace)
     Wo = lyapunov_solve(sys.A0.T, sys.C.T @ sys.C)
     beta2 = math.sqrt(float(np.linalg.eigvalsh(Wo).max()))
-    gamma2, _ = _grid_sup(_ss_mag(sys.A0, sys.D, sys.C))
+    gamma2 = hinf_norm(sys.lead).norm
     eta = _eta_sup(sys.A0, sys.C)
     w0_l2 = l2_norm_signal(w0, dt)
-    bound = (j_star * beta2 + eta) * alpha_star + j_star * gamma2 * w0_l2
+
+    def bound(j: float) -> float:
+        return (j * beta2 + eta) * alpha_star + j * gamma2 * w0_l2
+
     return BoundReport(
         j_star=j_star,
         beta2=beta2,
@@ -514,8 +496,9 @@ def uniform_error_bound(
         eta=eta,
         alpha_star=alpha_star,
         w0_l2=w0_l2,
-        bound=bound,
-        j_star_variant="sqrt_trace" if sqrt_gain else "trace",
+        bound=bound(j_star),
+        j_star_trace=j_star_trace,
+        bound_trace=bound(j_star_trace),
     )
 
 

@@ -244,12 +244,12 @@ def test_criterion_7_bound_dominance(figure_gains):
         if total > 0:
             zeta0 *= alpha * rng.uniform(0.3, 1.0) / total
         y_max = exact_chain_max_errors(sys_, n_veh, w0, dt, zeta0).max()
-        for variant, sqrt_gain in (("trace", False), ("sqrt_trace", True)):
-            rep = uniform_error_bound(sys_, alpha, w0, dt, sqrt_gain=sqrt_gain)
-            if y_max > rep.bound:
+        rep = uniform_error_bound(sys_, alpha, w0, dt)
+        for variant, bound in (("trace", rep.bound_trace), ("sqrt_trace", rep.bound)):
+            if y_max > bound:
                 violations[variant] += 1
-            if rep.bound > 0:
-                worst[variant] = max(worst[variant], y_max / rep.bound)
+            if bound > 0:
+                worst[variant] = max(worst[variant], y_max / bound)
     assert min(violations.values()) == 0, f"no variant dominated 100/100: {violations}"
     report(
         7,

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import platoonkit
 from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from platoonkit.dynamics import LeaderSegment
 from platoonkit.errors import ConfigError
@@ -285,6 +289,27 @@ class TestCli:
         manifest["config"]["scenario"]["dt"] = 0.02
         (out1 / "manifest.json").write_text(json.dumps(manifest))
         assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+
+    def test_rerun_names_missing_config_key(self, tmp_path, capsys):
+        out1 = tmp_path / "a"
+        assert main(["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.6", "--out", str(out1)]) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        del manifest["config"]["ka"]
+        manifest["config_sha256"] = config_hash(manifest["config"])
+        (out1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        assert "'ka'" in capsys.readouterr().err
+
+    def test_module_entry_point_warns_nothing(self):
+        src = Path(platoonkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "platoonkit.cli", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         scn = self.write_minimal(tmp_path)

@@ -15,7 +15,9 @@ from platoonkit.errors import (
     UnstableLoopError,
 )
 from platoonkit.stability import (
+    ErrorSystem,
     TransferFunction,
+    _eta_sup,
     build_error_system,
     cacc_error_tf,
     freq_response_mag,
@@ -349,10 +351,47 @@ class TestErrorSystem:
             assert mag == pytest.approx(freq_response_mag(tf, w), rel=1e-10)
 
     def test_non_hurwitz_rejected(self):
+        unstable = TransferFunction((1.0,), (-1.0, 0.0, 1.0))  # poles at +-1
         with pytest.raises(UnstableLoopError):
-            from platoonkit.stability import ErrorSystem
+            ErrorSystem(unstable, TransferFunction((2.0,), unstable.den))
 
-            ErrorSystem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 1)))
+    def test_mismatched_denominator_rejected(self, figure_gains):
+        cfg = ControllerConfig(h_w=0.9, **figure_gains)
+        hop = cacc_error_tf(cfg, 0.5, 0.4)
+        lead = TransferFunction(lead_input_tf(cfg, 0.5, 0.4).num, (1.0, 2.0, 1.0, 0.5))
+        with pytest.raises(InvalidInputError):
+            ErrorSystem(hop, lead)
+
+    def test_biproper_rejected(self, figure_gains):
+        cfg = ControllerConfig(h_w=0.9, **figure_gains)
+        hop = cacc_error_tf(cfg, 0.5, 0.4)
+        lead = lead_input_tf(cfg, 0.5, 0.4)
+        biproper = TransferFunction(lead.num + (0.0, 1.0), hop.den)
+        with pytest.raises(InvalidInputError):
+            ErrorSystem(biproper, lead)
+        with pytest.raises(InvalidInputError):
+            ErrorSystem(hop, biproper)
+        # trailing zero coefficients keep a transfer function strictly proper
+        ErrorSystem(TransferFunction(hop.num + (0.0,), hop.den), lead)
+
+    def test_eta_dominates_dense_sample(self):
+        """_eta_sup is at least max ||C expm(A0 t)|| on 40,001 points over 40 slow time constants.
+
+        The sample is built independently of _eta_sup: doubling blocks of
+        rows by powers of one step exponential.  Config 18 of this draw is a
+        case whose sup lies off t = 0.
+        """
+        rng = np.random.default_rng(5)
+        for i in range(60):
+            sys_ = build_error_system(*random_stable_config(rng))
+            t_max = 40.0 / np.abs(np.linalg.eigvals(sys_.A0).real).min()
+            power = scipy.linalg.expm(sys_.A0 * (t_max / 40000))
+            rows = sys_.C
+            while rows.shape[0] < 40001:
+                rows = np.vstack([rows, rows @ power])
+                power = power @ power
+            dense = np.linalg.norm(rows[:40001], axis=1).max()
+            assert _eta_sup(sys_.A0, sys_.C) >= dense, f"config {i}"
 
 
 def exact_chain_max_errors(sys_, n_vehicles, w0, dt, zeta0=None):
@@ -420,14 +459,18 @@ class TestUniformErrorBound:
             if total > 0:
                 z0 *= alpha / total
             ymax = exact_chain_max_errors(sys_, n_veh, w0, dt, z0).max()
-            rep = uniform_error_bound(sys_, alpha, w0, dt, sqrt_gain=True)
+            rep = uniform_error_bound(sys_, alpha, w0, dt)
             assert ymax <= rep.bound
+            # j_star < 1 here, so its square gives the smaller trace form
+            assert rep.bound_trace <= rep.bound
 
     def test_report_invariant(self, figure_gains):
         sys_ = self.stable_system(figure_gains)
         rep = uniform_error_bound(sys_, 0.5, np.full(100, -3.0), 0.01)
-        expected = (rep.j_star * rep.beta2 + rep.eta) * rep.alpha_star + rep.j_star * rep.gamma2 * rep.w0_l2
-        assert rep.bound == pytest.approx(expected, rel=1e-12)
+        for j, bound in ((rep.j_star, rep.bound), (rep.j_star_trace, rep.bound_trace)):
+            expected = (j * rep.beta2 + rep.eta) * rep.alpha_star + j * rep.gamma2 * rep.w0_l2
+            assert bound == pytest.approx(expected, rel=1e-12)
+        assert rep.j_star_trace == pytest.approx(rep.j_star**2, rel=1e-12)
 
 
 class TestIsStringStable:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .dynamics import VehicleParams, VehicleState, spacing_error
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 
 __all__ = [
     "ControllerConfig",
@@ -35,6 +35,7 @@ class ControllerConfig:
     mode: Mode = "cacc"
 
     def __post_init__(self) -> None:
+        require_finite(self, ("k_a", "k_v", "k_p", "h_w"), InvalidInputError)
         if not (self.k_v > 0):
             raise InvalidInputError(f"k_v must be positive, got {self.k_v}")
         if not (self.k_p > 0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 
 __all__ = [
     "VehicleState",
@@ -53,8 +53,9 @@ class VehicleParams:
     accel_limit: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise InvalidInputError(f"tau must be positive and finite, got {self.tau}")
+        require_finite(self, ("tau", "length", "decel_limit", "accel_limit"), InvalidInputError)
+        if not (self.tau > 0):
+            raise InvalidInputError(f"tau must be positive, got {self.tau}")
         if not (self.length > 0):
             raise InvalidInputError(f"length must be positive, got {self.length}")
         if not (self.decel_limit > 0):
@@ -135,9 +136,15 @@ def stop_crossing_time(v: float, a: float, u: float, tau: float, dt: float) -> f
     lo, hi = 0.0, dt
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        # the body depends only on (lo, hi): a halving that changes neither
+        # is repeated by every later one, so stop there
         if _velocity_at(v, a, u, tau, mid) > 0.0:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return hi
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finite-value check that raises them."""
+
+import math
 
 
 class PlatoonKitError(Exception):
@@ -39,3 +41,11 @@ class NonHurwitzError(NumericalError):
 
 class InsufficientHorizonWarning(UserWarning):
     """Impulse-response integral truncated before its tail decayed."""
+
+
+def require_finite(obj, names, error: type[PlatoonKitError]) -> None:
+    """Raise error naming the first attribute of obj in names that is nan or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")

@@ -10,9 +10,11 @@ from platoonkit.dynamics import (
     LeaderSegment,
     VehicleParams,
     VehicleState,
+    _velocity_at,
     leader_input,
     spacing_error,
     step_vehicle,
+    stop_crossing_time,
 )
 from platoonkit.errors import InvalidInputError
 
@@ -113,6 +115,28 @@ class TestStepVehicle:
         for u in commands:
             cur = step_vehicle(cur, u, 0.1, params)
             assert cur.v >= 0.0
+
+
+class TestStopCrossing:
+    def test_matches_full_bisection(self):
+        # the early exit returns bit for bit what all 80 halvings return
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(2000):
+            v, a, u = rng.uniform(0.0, 0.2), rng.uniform(-9.0, 3.0), rng.uniform(-9.0, 0.0)
+            tau, dt = rng.uniform(0.2, 0.8), rng.choice([0.01, 0.05, 0.2])
+            if not _velocity_at(v, a, u, tau, dt) < 0.0:
+                continue
+            lo, hi = 0.0, dt
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if _velocity_at(v, a, u, tau, mid) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert stop_crossing_time(v, a, u, tau, dt) == hi
+            checked += 1
+        assert checked > 500
 
 
 class TestLeaderInput:

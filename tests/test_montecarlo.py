@@ -1,27 +1,37 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import reference_platoon_sim
+from platoonkit import montecarlo
 from platoonkit.channel import GilbertParams, channel_step, iid_channel, initial_state
 from platoonkit.control import ControllerConfig
 from platoonkit.dynamics import LeaderProfile, LeaderSegment, VehicleParams
 from platoonkit.errors import ConfigError, InvalidInputError
 from platoonkit.montecarlo import (
+    RECEPTION_BLOCK,
+    RECEPTION_TILE,
     ChannelSpec,
     DecelDistribution,
     ScenarioConfig,
-    _gilbert_receptions,
+    _receptions,
     detect_collisions,
     run_realization,
     run_realizations,
     run_safety_study,
     validate_mean_trajectory,
 )
+from platoonkit.scenario import load_scenario
 from platoonkit.stability import cacc_system_matrix
 
+FIG3 = Path(__file__).resolve().parent.parent / "scenarios" / "fig3.scn"
+
 BRAKE_PROFILE = LeaderProfile((LeaderSegment(0.0, 0.0), LeaderSegment(10.0, -9.0, 16.0)))
+# the leader brakes from t = 1 s, so the feed-forward term, and with it
+# every dropped packet, moves the string within a short horizon
+EARLY_BRAKE = LeaderProfile((LeaderSegment(0.0, 0.0), LeaderSegment(1.0, -9.0, 16.0)))
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -122,13 +132,9 @@ class TestEngineCore:
         states, _ = reference_platoon_sim(sc)
         assert np.allclose(engine.states, states, atol=1e-11)
 
-    # the leader brakes from t = 1 s, so the feed-forward term, and with it
-    # every dropped packet, moves the string within the short horizon
-    EARLY_BRAKE = LeaderProfile((LeaderSegment(0.0, 0.0), LeaderSegment(1.0, -9.0, 16.0)))
-
     def test_matches_scalar_reference_gilbert(self):
         gp = GilbertParams(0.3, 0.1, 0.2)
-        sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=gp), leader=self.EARLY_BRAKE,
+        sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=gp), leader=EARLY_BRAKE,
                             duration=6.0)
         engine = run_realization(sc, 4)
         # replay each pair's documented stream through the scalar channel ops
@@ -142,7 +148,7 @@ class TestEngineCore:
         assert np.allclose(engine.states, states, atol=1e-11)
 
     def test_matches_scalar_reference_iid(self):
-        sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.6), leader=self.EARLY_BRAKE,
+        sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.6), leader=EARLY_BRAKE,
                             duration=6.0)
         engine = run_realization(sc, 4)
         recv = np.empty((sc.n_followers, sc.n_steps), dtype=bool)
@@ -214,18 +220,59 @@ class TestEngineCore:
         assert result.states[-1, 0, 1] == 0.0
 
 
+class TestReceptions:
+    # more than one block of slots and one tile of channels, neither a multiple
+    N_SLOTS = 2 * RECEPTION_BLOCK + 37
+    INDICES = np.array([2, 9] + list(range(20, 63)))     # 45 realizations x 3 pairs
+    N_PAIRS = 3
+
+    def masks(self, channel):
+        assert len(self.INDICES) * self.N_PAIRS > RECEPTION_TILE
+        assert len(self.INDICES) * self.N_PAIRS % RECEPTION_TILE != 0
+        assert self.N_SLOTS % RECEPTION_BLOCK != 0
+        gen = _receptions(channel, 7, self.INDICES, self.N_PAIRS, self.N_SLOTS)
+        out = np.stack([next(gen) for _ in range(self.N_SLOTS)], axis=-1)
+        assert next(gen, None) is None
+        return out
+
+    def test_gilbert_matches_scalar_chain(self):
+        gp = GilbertParams(0.3, 0.1, 0.2)
+        recv = self.masks(ChannelSpec(kind="gilbert", gilbert=gp))
+        for r, idx in enumerate(self.INDICES):
+            for p in range(self.N_PAIRS):
+                rng = pair_stream(7, idx, p)
+                state = initial_state(gp, rng)
+                for k in range(self.N_SLOTS):
+                    state, received = channel_step(state, gp, rng)
+                    assert recv[r, p, k] == received, (idx, p, k)
+
+    def test_iid_matches_scalar_draws(self):
+        recv = self.masks(ChannelSpec(kind="iid", gamma=0.6))
+        for r, idx in enumerate(self.INDICES):
+            for p in range(self.N_PAIRS):
+                rng = pair_stream(7, idx, p)
+                expected = [iid_channel(0.6, rng) for _ in range(self.N_SLOTS)]
+                assert recv[r, p].tolist() == expected, (idx, p)
+
+
 class TestDeterminism:
     def test_batching_invariance(self):
         gp = GilbertParams(0.3, 0.1, 0.2)
-        sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=gp), duration=4.0)
-        singles = [run_realization(sc, i) for i in range(6)]
-        batched = run_realizations(sc, np.arange(6))
-        shuffled = run_realizations(sc, [3, 1, 5, 0, 4, 2])
-        by_index = {r.index: r for r in shuffled}
-        for s, b in zip(singles, batched):
-            assert np.array_equal(s.spacing_errors, b.spacing_errors)
-            assert np.array_equal(s.spacing_errors, by_index[s.index].spacing_errors)
-            assert s.collision_events == b.collision_events
+        sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=gp), leader=EARLY_BRAKE,
+                            duration=4.0)
+        # 6 x 3 channels fit in one reception tile; 45 x 3 span two
+        assert 6 * sc.n_followers < RECEPTION_TILE < 45 * sc.n_followers
+        for n_runs in (6, 45):
+            singles = [run_realization(sc, i) for i in range(n_runs)]
+            batched = run_realizations(sc, np.arange(n_runs))
+            shuffled = run_realizations(sc, np.random.default_rng(n_runs).permutation(n_runs))
+            by_index = {r.index: r for r in shuffled}
+            for s, b in zip(singles, batched):
+                assert np.array_equal(s.spacing_errors, b.spacing_errors)
+                assert np.array_equal(s.spacing_errors, by_index[s.index].spacing_errors)
+                assert s.collision_events == b.collision_events
+            # the receptions moved the string differently in every run
+            assert len({s.spacing_errors.tobytes() for s in singles}) == n_runs
 
     def test_seed_changes_stochastic_runs(self):
         gp = GilbertParams(0.3, 0.1, 0.2)
@@ -238,7 +285,8 @@ class TestDeterminism:
 
     def test_pair_streams_independent(self):
         gp = GilbertParams(0.3, 0.1, 0.2)
-        recv = _gilbert_receptions(gp, 7, np.arange(40), 5, 2000)
+        gen = _receptions(ChannelSpec(kind="gilbert", gilbert=gp), 7, np.arange(40), 5, 2000)
+        recv = np.stack([next(gen) for _ in range(2000)], axis=-1)
         flat = recv.reshape(-1, 2000).astype(float)
         # adjacent-pair correlation across the 200 channels
         for a, b in [(0, 1), (1, 2), (10, 23)]:
@@ -348,6 +396,25 @@ class TestMeanValidation:
         assert report.max_deviation < 1e-9
         assert report.within_envelope
 
+    def test_chance_deviation_not_flagged(self):
+        # follower 4's largest deviation is 1.17x its pointwise 3-sigma
+        # envelope here: over some 12,000 points per vehicle that is chance
+        report = validate_mean_trajectory(load_scenario(FIG3), 4096, base_seed=3)
+        assert report.max_normalized > 1.1
+        assert report.within_envelope
+
+    def test_biased_equivalent_flagged(self, monkeypatch):
+        sc = load_scenario(FIG3)
+        assert validate_mean_trajectory(sc, 256).within_envelope
+
+        def biased(s):
+            return dataclasses.replace(
+                s, channel=ChannelSpec(kind="deterministic", gamma=s.channel.effective_gamma() + 0.05)
+            )
+
+        monkeypatch.setattr(montecarlo, "deterministic_equivalent", biased)
+        assert not validate_mean_trajectory(sc, 256).within_envelope
+
     def test_requires_fixed_decel(self):
         sc = small_scenario(
             channel=ChannelSpec(kind="iid", gamma=0.5),
@@ -386,6 +453,19 @@ class TestSystemMatrix:
         assert A[5, 4] == pytest.approx(-(1.0 + 0.8 * 0.75) / 0.5)
 
 
+def float_fields(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+FLOAT_FIELD_CLASSES = [
+    (VehicleParams, VehicleParams, InvalidInputError),
+    (ControllerConfig, lambda **kw: ControllerConfig(**{**dict(k_a=0.4, k_v=1.0, k_p=0.8, h_w=0.9), **kw}),
+     InvalidInputError),
+    (DecelDistribution, DecelDistribution, ConfigError),
+    (ScenarioConfig, small_scenario, ConfigError),
+]
+
+
 class TestScenarioValidation:
     def test_bad_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -396,3 +476,14 @@ class TestScenarioValidation:
             small_scenario(realizations=0)
         with pytest.raises(ConfigError):
             small_scenario(base_seed=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build, error, field",
+        [pytest.param(build, error, field, id=f"{cls.__name__}.{field}")
+         for cls, build, error in FLOAT_FIELD_CLASSES for field in float_fields(cls)],
+    )
+    def test_non_finite_field_rejected(self, build, error, field, bad):
+        build()  # the defaults construct
+        with pytest.raises(error, match=field):
+            build(**{field: bad})

@@ -33,7 +33,7 @@ from . import __version__
 from .channel import GilbertParams
 from .control import ControllerConfig
 from .dynamics import LeaderProfile, LeaderSegment, VehicleParams
-from .errors import ConfigError, InvalidInputError, PlatoonKitError
+from .errors import ConfigError, InvalidInputError
 from .montecarlo import ChannelSpec, DecelDistribution, ScenarioConfig
 
 __all__ = [
@@ -308,8 +308,8 @@ def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"manifest config: malformed ({exc})") from None
-    except PlatoonKitError:
-        raise
+    except InvalidInputError as exc:
+        raise ConfigError(f"manifest config: {exc}") from None
 
 
 def config_hash(data: dict[str, Any]) -> str:

@@ -39,6 +39,7 @@ __all__ = [
     "cacc_error_tf",
     "lead_input_tf",
     "freq_response_mag",
+    "OMEGA_GRID",
     "parseval_energies",
     "cacc_system_matrix",
     "hinf_norm",
@@ -50,10 +51,13 @@ __all__ = [
     "is_string_stable",
 ]
 
-HINF_WMIN = 1e-3
-HINF_WMAX = 1e3
-HINF_POINTS = 2000
 STABILITY_TOL = 1e-6
+
+# The frequencies every peak-gain answer looks at (rad/s): omega = 0 plus a
+# 2000-point log grid over 1e-3..1e3.  hinf_norm refines its sup on it, and
+# the stability command writes |H| on it.
+OMEGA_GRID = np.concatenate([[0.0], np.logspace(-3.0, 3.0, 2000)])
+OMEGA_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -196,16 +200,10 @@ def cacc_system_matrix(cfg: ControllerConfig, tau: float, receptions) -> np.ndar
 
 @dataclass(frozen=True)
 class HinfResult:
-    """Peak gain with the grid metadata that bounds its resolution."""
+    """Peak gain and the frequency (rad/s) where it occurs."""
 
     norm: float
     omega_peak: float
-    grid_points: int
-    wmin: float
-    wmax: float
-
-    def __float__(self) -> float:
-        return self.norm
 
 
 def _grid_sup(magfn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> tuple[float, float]:
@@ -238,26 +236,20 @@ def _grid_sup(magfn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> tu
     return best, w_best
 
 
-def hinf_norm(
-    tf: TransferFunction,
-    wmin: float = HINF_WMIN,
-    wmax: float = HINF_WMAX,
-    points: int = HINF_POINTS,
-) -> HinfResult:
-    """Peak of |H(j*omega)| over a log grid with local golden-section refinement.
+def hinf_norm(tf: TransferFunction) -> HinfResult:
+    """Peak of |H(j*omega)| over OMEGA_GRID with local golden-section refinement.
 
-    The grid always includes omega = 0 and the high-frequency limit, so DC
-    peaks (H(0) = 1 for these strings) and biproper gains are caught exactly.
+    The grid includes omega = 0 and the high-frequency limit is checked, so
+    DC peaks (H(0) = 1 for these strings) and biproper gains are caught exactly.
     """
     if not tf.is_stable():
         raise UnstableLoopError("hinf_norm requires a stable transfer function")
-    grid = np.concatenate([[0.0], np.logspace(math.log10(wmin), math.log10(wmax), points)])
-    best, w_best = _grid_sup(lambda w: freq_response_mag(tf, w), grid)
+    best, w_best = _grid_sup(lambda w: freq_response_mag(tf, w), OMEGA_GRID)
     if len(tf.num) == len(tf.den):  # biproper: check the omega -> inf limit
         hf = abs(tf.num[-1] / tf.den[-1])
         if hf > best:
             best, w_best = hf, math.inf
-    return HinfResult(best, w_best, points, wmin, wmax)
+    return HinfResult(best, w_best)
 
 
 def _strictly_proper_ss(tf: TransferFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -415,11 +407,6 @@ class BoundReport:
     j_star = sqrt(trace(C P C^T)) is the Cauchy-Schwarz L2->Linf gain (P the
     controllability Gramian), beta2 the IC->L2 constant, gamma2 the lead
     L2->L2 gain and eta the IC->Linf constant.
-
-    bound_trace is the same expression with j_star_trace = trace(C P C^T) in
-    place of j_star.  It is not a bound: it can fall below the simulated
-    maximum (fig3.scn with hw_s = 1.0 and an iid channel at gamma = 0.6 gives
-    1.570 m against a simulated 1.842 m).
     """
 
     j_star: float
@@ -429,8 +416,6 @@ class BoundReport:
     alpha_star: float
     w0_l2: float
     bound: float
-    j_star_trace: float
-    bound_trace: float
 
 
 ETA_STEPS = 4000
@@ -478,17 +463,12 @@ def uniform_error_bound(sys: ErrorSystem, alpha_star: float, w0: np.ndarray, dt:
             f"per-hop gain {hop_norm:.6g} > 1: the chained bound hypothesis fails"
         )
     P = lyapunov_solve(sys.A0, sys.B @ sys.B.T)
-    j_star_trace = float(np.trace(sys.C @ P @ sys.C.T))
-    j_star = math.sqrt(j_star_trace)
+    j_star = math.sqrt(float(np.trace(sys.C @ P @ sys.C.T)))
     Wo = lyapunov_solve(sys.A0.T, sys.C.T @ sys.C)
     beta2 = math.sqrt(float(np.linalg.eigvalsh(Wo).max()))
     gamma2 = hinf_norm(sys.lead).norm
     eta = _eta_sup(sys.A0, sys.C)
     w0_l2 = l2_norm_signal(w0, dt)
-
-    def bound(j: float) -> float:
-        return (j * beta2 + eta) * alpha_star + j * gamma2 * w0_l2
-
     return BoundReport(
         j_star=j_star,
         beta2=beta2,
@@ -496,9 +476,7 @@ def uniform_error_bound(sys: ErrorSystem, alpha_star: float, w0: np.ndarray, dt:
         eta=eta,
         alpha_star=alpha_star,
         w0_l2=w0_l2,
-        bound=bound(j_star),
-        j_star_trace=j_star_trace,
-        bound_trace=bound(j_star_trace),
+        bound=(j_star * beta2 + eta) * alpha_star + j_star * gamma2 * w0_l2,
     )
 
 

@@ -223,11 +223,11 @@ class TestCli:
         out = tmp_path / "bound"
         assert main(["bound", str(scn), "--alpha-star", "0.5", "--out", str(out)]) == EXIT_OK
         rec = dict(kv.split("=") for kv in (out / "bound.txt").read_text().split())
-        assert float(rec["bound_trace_m"]) > 0
+        # the proven bound only, its keys in their documented order
+        assert list(rec) == ["command", "alpha_star", "simulated_max_error_m", "bound_sqrt_trace_m",
+                             "j_star_sqrt_trace", "beta2", "gamma2", "eta", "w0_l2"]
         assert float(rec["bound_sqrt_trace_m"]) > 0
-        assert float(rec["simulated_max_error_m"]) <= min(
-            float(rec["bound_trace_m"]), float(rec["bound_sqrt_trace_m"])
-        )
+        assert float(rec["simulated_max_error_m"]) <= float(rec["bound_sqrt_trace_m"])
 
     def test_montecarlo_command(self, tmp_path):
         scn = tmp_path / "mc.scn"
@@ -300,6 +300,18 @@ class TestCli:
         capsys.readouterr()
         assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
         assert "'ka'" in capsys.readouterr().err
+
+    def test_rerun_names_rejected_config_value(self, tmp_path, capsys):
+        scn = self.write_minimal(tmp_path)
+        out1 = tmp_path / "a"
+        assert main(["simulate", str(scn), "--out", str(out1)]) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest["config"]["scenario"]["params"]["tau"] = float("nan")
+        manifest["config_sha256"] = config_hash(manifest["config"])
+        (out1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        assert "tau" in capsys.readouterr().err
 
     def test_module_entry_point_warns_nothing(self):
         src = Path(platoonkit.__file__).resolve().parent.parent

@@ -461,16 +461,13 @@ class TestUniformErrorBound:
             ymax = exact_chain_max_errors(sys_, n_veh, w0, dt, z0).max()
             rep = uniform_error_bound(sys_, alpha, w0, dt)
             assert ymax <= rep.bound
-            # j_star < 1 here, so its square gives the smaller trace form
-            assert rep.bound_trace <= rep.bound
 
     def test_report_invariant(self, figure_gains):
         sys_ = self.stable_system(figure_gains)
         rep = uniform_error_bound(sys_, 0.5, np.full(100, -3.0), 0.01)
-        for j, bound in ((rep.j_star, rep.bound), (rep.j_star_trace, rep.bound_trace)):
-            expected = (j * rep.beta2 + rep.eta) * rep.alpha_star + j * rep.gamma2 * rep.w0_l2
-            assert bound == pytest.approx(expected, rel=1e-12)
-        assert rep.j_star_trace == pytest.approx(rep.j_star**2, rel=1e-12)
+        j = rep.j_star
+        expected = (j * rep.beta2 + rep.eta) * rep.alpha_star + j * rep.gamma2 * rep.w0_l2
+        assert rep.bound == pytest.approx(expected, rel=1e-12)
 
 
 class TestIsStringStable:

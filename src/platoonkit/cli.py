@@ -1,10 +1,13 @@
 """Command-line front end: scenario parsing, experiment orchestration, emission.
 
-Every command writes a run manifest (command, resolved config, seed, version,
-config hash, outputs) next to its outputs; `rerun` re-executes a manifest and
-reproduces the outputs byte for byte.  CSVs are shaped for direct plotting and
-carry no volatile fields.  Exit codes: 0 success, 2 configuration error,
-3 numerical error, 4 I/O error.
+Every command runs through `_run`, which writes a run manifest (command,
+config, seed, version, config hash, outputs) next to its outputs.  The config
+is the parsed arguments minus `command`, `seed`, `out` and `json`, with the
+scenario path replaced by the resolved scenario dict (so `--seed` lands in its
+`base_seed`); `rerun` passes that config back through `_run` and reproduces
+the outputs byte for byte.  CSVs are shaped for direct plotting and carry no
+volatile fields.  Exit codes: 0 success, 2 configuration error or bad flag
+value, 3 numerical error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ import numpy as np
 from . import __version__
 from .channel import GilbertParams, gamma_analytic
 from .control import min_headway
-from .errors import ConfigError, NumericalError, PlatoonKitError
+from .errors import ConfigError, InvalidInputError, NumericalError, PlatoonKitError
 from .montecarlo import (
-    ScenarioConfig,
     deterministic_equivalent,
     run_realization,
     run_safety_study,
@@ -53,13 +55,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _out_dir(args: argparse.Namespace, command: str) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    base = os.environ.get(OUTDIR_ENV, "runs")
-    return Path(base) / command
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     rows = len(columns[0])
     with open(path, "w", newline="") as fh:
@@ -80,20 +75,8 @@ def write_manifest(
     return RunManifest(command, config, base_seed, outputs=outputs).write(out)
 
 
-def _load(args: argparse.Namespace) -> ScenarioConfig:
-    """The scenario of a command: a file path, or a manifest's resolved dict under rerun."""
-    if isinstance(args.scenario, dict):
-        return scenario_from_dict(args.scenario)
-    sc = load_scenario(args.scenario)
-    if args.seed is not None:
-        sc = dataclasses.replace(sc, base_seed=args.seed)
-    return sc
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    sc = _load(args)
-    out = _out_dir(args, "simulate")
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args: argparse.Namespace, out: Path) -> list[str]:
+    sc = args.scenario
     result = run_realization(sc, args.realization)
 
     outputs = ["spacing_errors.csv", "summary.txt"]
@@ -120,20 +103,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for i, p in enumerate(peaks):
         summary[f"peak_abs_e{i + 1}_m"] = _fmt(p)
     write_summary(out / "summary.txt", summary)
-    write_manifest(out, "simulate", _simulate_config(sc, args), sc.base_seed, outputs)
     print(f"simulate: wrote {', '.join(outputs)} to {out}")
-    return EXIT_OK
+    return outputs
 
 
-def _simulate_config(sc: ScenarioConfig, args: argparse.Namespace) -> dict:
-    return {
-        "scenario": scenario_to_dict(sc),
-        "realization": args.realization,
-        "states": bool(args.states),
-    }
-
-
-def cmd_headway(args: argparse.Namespace) -> int:
+def cmd_headway(args: argparse.Namespace, out: Path) -> list[str]:
     if (args.gamma is None) == (args.gilbert is None):
         raise ConfigError("headway: give exactly one of --gamma or --gilbert P Q q")
     if args.gilbert is not None:
@@ -154,23 +128,12 @@ def cmd_headway(args: argparse.Namespace) -> int:
     else:
         print(f"gamma = {gamma:.6g}")
         print(f"h_min = {h_min:.6g} s")
-    out = _out_dir(args, "headway")
-    out.mkdir(parents=True, exist_ok=True)
     write_summary(out / "headway.txt", record)
-    config = {
-        "tau": args.tau,
-        "ka": args.ka,
-        "gamma": args.gamma,
-        "gilbert": list(args.gilbert) if args.gilbert else None,
-    }
-    write_manifest(out, "headway", config, None, ["headway.txt"])
-    return EXIT_OK
+    return ["headway.txt"]
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
-    sc = _load(args)
-    out = _out_dir(args, "stability")
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_stability(args: argparse.Namespace, out: Path) -> list[str]:
+    sc = args.scenario
     gamma = sc.channel.effective_gamma()
     report = is_string_stable(sc.controller, sc.params.tau, gamma)
     tf = cacc_error_tf(sc.controller, sc.params.tau, gamma)
@@ -186,17 +149,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
         "gamma": _fmt(gamma),
     }
     write_summary(out / "stability.txt", summary)
-    write_manifest(out, "stability", {"scenario": scenario_to_dict(sc)}, sc.base_seed,
-                   ["freq_response.csv", "stability.txt"])
     print(f"stable={report.stable} hinf={report.hinf:.6f} "
           f"peak_omega={report.omega_peak:.4f} h_min={report.h_min:.4f}")
-    return EXIT_OK
+    return ["freq_response.csv", "stability.txt"]
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    sc = _load(args)
-    out = _out_dir(args, "bound")
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
+    sc = args.scenario
     gamma = sc.channel.effective_gamma()
     sys_ = build_error_system(sc.controller, sc.params.tau, gamma)
 
@@ -217,16 +176,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "w0_l2": _fmt(rep.w0_l2),
     }
     write_summary(out / "bound.txt", summary)
-    write_manifest(out, "bound", {"scenario": scenario_to_dict(sc), "alpha_star": args.alpha_star},
-                   sc.base_seed, ["bound.txt"])
     print(f"bound(sqrt_trace)={rep.bound:.4f} m  simulated max |e|={sim_max:.4f} m")
-    return EXIT_OK
+    return ["bound.txt"]
 
 
-def cmd_montecarlo(args: argparse.Namespace) -> int:
-    sc = _load(args)
-    out = _out_dir(args, "montecarlo")
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_montecarlo(args: argparse.Namespace, out: Path) -> list[str]:
+    sc = args.scenario
     stats = run_safety_study(sc, mode=args.mode, realizations=args.realizations)
     header = ["time_s"] + [f"var_e{i + 1}_m2" for i in range(sc.n_followers)]
     cols = [stats.times] + [stats.variance_series[:, i] for i in range(sc.n_followers)]
@@ -244,19 +199,13 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         "base_seed": sc.base_seed,
     }
     write_summary(out / "safety_stats.txt", summary)
-    config = {"scenario": scenario_to_dict(sc), "mode": args.mode,
-              "realizations": args.realizations}
-    write_manifest(out, "montecarlo", config, sc.base_seed,
-                   ["variance_series.csv", "safety_stats.txt"])
     print(f"mode={summary['mode']} p_collision={stats.p_collision:.4f} "
           f"mean_events={summary['mean_events_per_unstable']}")
-    return EXIT_OK
+    return ["variance_series.csv", "safety_stats.txt"]
 
 
-def cmd_validate_mean(args: argparse.Namespace) -> int:
-    sc = _load(args)
-    out = _out_dir(args, "validate-mean")
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_validate_mean(args: argparse.Namespace, out: Path) -> list[str]:
+    sc = args.scenario
     report = validate_mean_trajectory(sc, args.realizations)
     summary = {
         "command": "validate-mean",
@@ -269,31 +218,8 @@ def cmd_validate_mean(args: argparse.Namespace) -> int:
         summary[f"veh{i}_max_dev"] = _fmt(report.per_vehicle_max_deviation[i])
         summary[f"veh{i}_envelope"] = _fmt(report.per_vehicle_envelope_at_max[i])
     write_summary(out / "mean_validation.txt", summary)
-    config = {"scenario": scenario_to_dict(sc), "realizations": args.realizations}
-    write_manifest(out, "validate-mean", config, sc.base_seed, ["mean_validation.txt"])
     print(f"max deviation={report.max_deviation:.3e} within 3-sigma envelope={report.within_envelope}")
-    return EXIT_OK
-
-
-def cmd_rerun(args: argparse.Namespace) -> int:
-    path = Path(args.manifest)
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
-    manifest = RunManifest.load(path)
-    fn = COMMANDS.get(manifest.command)
-    if fn is None or fn is cmd_rerun:
-        raise ConfigError(f"manifest: unknown command {manifest.command!r}")
-    # Manifest config keys are the commands' argparse destinations; the one
-    # flag no manifest records, headway's --json, only changes what is printed.
-    out = Path(args.out) if args.out is not None else path.parent
-    return fn(_ManifestArgs(**manifest.config, json=False, out=str(out)))
-
-
-class _ManifestArgs(argparse.Namespace):
-    """A command's arguments read from a manifest config; a missing key is a ConfigError."""
-
-    def __getattr__(self, name: str):
-        raise ConfigError(f"manifest: config lacks key {name!r}")
+    return ["mean_validation.txt"]
 
 
 COMMANDS = {
@@ -303,8 +229,54 @@ COMMANDS = {
     "bound": cmd_bound,
     "montecarlo": cmd_montecarlo,
     "validate-mean": cmd_validate_mean,
-    "rerun": cmd_rerun,
 }
+
+# Parsed arguments that select or present a run but are not part of its
+# config: --seed is recorded as the scenario's base_seed instead.
+UNRECORDED = ("command", "seed", "out", "json")
+
+
+def _run(command: str, args: argparse.Namespace) -> int:
+    """Run one command: resolve its scenario and output directory, call it, record its manifest.
+
+    The manifest config is the parsed arguments minus UNRECORDED, with the
+    scenario replaced by its resolved dict; rerun hands the same config back.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
+    base_seed = None
+    if "scenario" in config:
+        if isinstance(args.scenario, dict):  # a manifest's resolved scenario, under rerun
+            sc = scenario_from_dict(args.scenario)
+        else:
+            sc = load_scenario(args.scenario)
+            if args.seed is not None:
+                sc = dataclasses.replace(sc, base_seed=args.seed)
+        args.scenario = sc
+        config["scenario"] = scenario_to_dict(sc)
+        base_seed = sc.base_seed
+    out = Path(args.out) if args.out is not None else Path(os.environ.get(OUTDIR_ENV, "runs")) / command
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = COMMANDS[command](args, out)
+    write_manifest(out, command, config, base_seed, outputs)
+    return EXIT_OK
+
+
+def cmd_rerun(args: argparse.Namespace) -> int:
+    path = Path(args.manifest)
+    if not path.is_file():
+        raise ConfigError(f"manifest not found: {path}")
+    manifest = RunManifest.load(path)
+    if manifest.command not in COMMANDS:
+        raise ConfigError(f"manifest: unknown command {manifest.command!r}")
+    out = args.out if args.out is not None else str(path.parent)
+    return _run(manifest.command, _ManifestArgs(**{**manifest.config, "json": False, "out": out}))
+
+
+class _ManifestArgs(argparse.Namespace):
+    """A command's arguments read from a manifest config; a missing key is a ConfigError."""
+
+    def __getattr__(self, name: str):
+        raise ConfigError(f"manifest: config lacks key {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", help="re-execute a run manifest")
     p.add_argument("manifest", help="manifest.json written by a previous run")
     p.add_argument("--out", default=None, help="output directory (default: manifest's directory)")
-
-    for name, p in sub.choices.items():
-        p.set_defaults(fn=COMMANDS[name])
     return parser
 
 
@@ -371,8 +340,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except ConfigError as exc:
+        if args.command == "rerun":
+            return cmd_rerun(args)
+        return _run(args.command, args)
+    except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

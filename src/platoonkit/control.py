@@ -88,6 +88,6 @@ def min_headway(tau: float, gamma: float, k_a: float) -> float:
         raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     if not (0.0 <= gamma <= 1.0):
         raise InvalidInputError(f"gamma must be in [0, 1], got {gamma}")
-    if k_a < 0:
-        raise InvalidInputError(f"k_a must be nonnegative, got {k_a}")
+    if not (k_a >= 0 and math.isfinite(k_a)):
+        raise InvalidInputError(f"k_a must be nonnegative and finite, got {k_a}")
     return 2.0 * tau / (1.0 + gamma * k_a)

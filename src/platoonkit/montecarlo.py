@@ -203,7 +203,7 @@ class RealizationResult:
     collision_events: tuple[tuple[float, int, int], ...]  # (time, lead, follower)
     collided: bool
     decel_limits: np.ndarray             # (n_vehicles,)
-    states: np.ndarray | None = None     # (n_steps+1, n_vehicles, 3) when requested
+    states: np.ndarray                   # (n_steps+1, n_vehicles, 3): x, v, a
 
 
 @dataclass(frozen=True)
@@ -316,20 +316,18 @@ def _decel_limits(sc: ScenarioConfig, indices: np.ndarray) -> np.ndarray:
 def _simulate_batch(
     sc: ScenarioConfig,
     indices: np.ndarray,
-    mode: str | None = None,
-    collect_errors: bool = False,
-    include_states: bool = False,
+    trajectories: bool = False,
     on_step: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ):
     """Propagate a batch of realizations; the single engine behind every study.
 
     Returns (err_series, states, events_per_realization, limits).  err_series
-    and states are None unless requested.  on_step(k, x, v, a, e) is invoked
-    at every recorded grid point with the current batch arrays.
+    and states are None unless trajectories is set.  on_step(k, x, v, a, e)
+    is invoked at every recorded grid point with the current batch arrays.
     """
     indices = np.asarray(indices, dtype=int)
     R, M, F, T = len(indices), sc.n_vehicles, sc.n_followers, sc.n_steps
-    cfg = sc.controller if mode is None else dataclasses.replace(sc.controller, mode=mode)
+    cfg = sc.controller
     dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
     c_aa, c_au, c_va, c_vu, c_xa, c_xu = zoh_coefficients(tau, dt)
 
@@ -355,14 +353,13 @@ def _simulate_batch(
     collided_pair = np.zeros((R, F), dtype=bool)
     events: list[list[tuple[float, int, int]]] = [[] for _ in range(R)]
 
-    err_series = np.empty((R, T + 1, F)) if collect_errors else None
-    states = np.empty((R, T + 1, M, 3)) if include_states else None
+    err_series = np.empty((R, T + 1, F)) if trajectories else None
+    states = np.empty((R, T + 1, M, 3)) if trajectories else None
 
     def record(k: int) -> np.ndarray:
         e = x[:, 1:] - x[:, :-1] + d + hw * v[:, 1:]
-        if err_series is not None:
+        if trajectories:
             err_series[:, k] = e
-        if states is not None:
             states[:, k, :, 0] = x
             states[:, k, :, 1] = v
             states[:, k, :, 2] = a
@@ -434,7 +431,7 @@ def _batches(sc: ScenarioConfig, indices, **engine):
         yield chunk, _simulate_batch(sc, chunk, **engine)
 
 
-def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample, mode: str | None = None):
+def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1.
 
     sample returns one row of the given shape per realization of the batch.
@@ -450,7 +447,7 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample, mode: s
         sumsq[k] += (rows * rows).sum(axis=0)
 
     events = []
-    for _, (_, _, evs, _) in _batches(sc, np.arange(n), mode=mode, on_step=on_step):
+    for _, (_, _, evs, _) in _batches(sc, np.arange(n), on_step=on_step):
         events += evs
     if n < 2:
         return total, np.zeros_like(total), events
@@ -459,12 +456,13 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample, mode: s
     return total, var, events
 
 
-def run_realizations(sc: ScenarioConfig, indices, include_states: bool = False) -> list[RealizationResult]:
-    """Simulate several realizations (batched; identical to one-at-a-time runs)."""
+def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
+    """Simulate several realizations in full, state trajectories included.
+
+    Batched; identical to one-at-a-time runs.
+    """
     out: list[RealizationResult] = []
-    for chunk, (err, states, events, limits) in _batches(
-        sc, indices, collect_errors=True, include_states=include_states
-    ):
+    for chunk, (err, states, events, limits) in _batches(sc, indices, trajectories=True):
         for j, idx in enumerate(chunk):
             evs = tuple(events[j])
             out.append(
@@ -475,7 +473,7 @@ def run_realizations(sc: ScenarioConfig, indices, include_states: bool = False) 
                     collision_events=evs,
                     collided=bool(evs),
                     decel_limits=limits[j],
-                    states=states[j] if include_states else None,
+                    states=states[j],
                 )
             )
     return out
@@ -485,7 +483,7 @@ def run_realization(sc: ScenarioConfig, realization_index: int) -> RealizationRe
     """Simulate one seeded realization in full, state trajectories included."""
     if realization_index < 0:
         raise ConfigError("realization_index must be nonnegative")
-    return run_realizations(sc, [realization_index], include_states=True)[0]
+    return run_realizations(sc, [realization_index])[0]
 
 
 def run_safety_study(
@@ -501,10 +499,12 @@ def run_safety_study(
     mean_events_per_unstable averages over collided realizations only and is
     None when nothing collided.
     """
+    if mode is not None:
+        sc = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode))
     if realizations is not None:
         sc = dataclasses.replace(sc, realizations=realizations)
     n = sc.realizations
-    _, variance, events = _moments(sc, n, (sc.n_followers,), lambda k, x, v, a, e: e, mode=mode)
+    _, variance, events = _moments(sc, n, (sc.n_followers,), lambda k, x, v, a, e: e)
     n_collided = sum(1 for evs in events if evs)
     event_total = sum(len(evs) for evs in events)
     return SafetyStats(

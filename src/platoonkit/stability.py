@@ -343,9 +343,11 @@ def lyapunov_solve(A: np.ndarray, Qm: np.ndarray) -> np.ndarray:
 
 def l2_norm_signal(samples, dt: float) -> float:
     """Rectangle-rule L2 norm sqrt(sum(s^2) * dt) of a sampled signal."""
-    if not (dt > 0):
-        raise InvalidInputError(f"dt must be positive, got {dt}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise InvalidInputError(f"dt must be positive and finite, got {dt}")
     arr = np.asarray(samples, dtype=float)
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("samples must be finite")
     return float(math.sqrt(float(np.sum(arr * arr)) * dt))
 
 
@@ -455,8 +457,9 @@ def uniform_error_bound(sys: ErrorSystem, alpha_star: float, w0: np.ndarray, dt:
     is the Gramian bound of Ploeg et al., "Lp String Stability of Cascaded
     Systems" (IEEE TCST 2014).
     """
-    if alpha_star < 0:
-        raise InvalidInputError(f"alpha_star must be nonnegative, got {alpha_star}")
+    if not (alpha_star >= 0 and math.isfinite(alpha_star)):
+        raise InvalidInputError(f"alpha_star must be nonnegative and finite, got {alpha_star}")
+    w0_l2 = l2_norm_signal(w0, dt)
     hop_norm = hinf_norm(sys.hop).norm
     if hop_norm > 1.0 + STABILITY_TOL:
         raise UnstableLoopError(
@@ -468,7 +471,6 @@ def uniform_error_bound(sys: ErrorSystem, alpha_star: float, w0: np.ndarray, dt:
     beta2 = math.sqrt(float(np.linalg.eigvalsh(Wo).max()))
     gamma2 = hinf_norm(sys.lead).norm
     eta = _eta_sup(sys.A0, sys.C)
-    w0_l2 = l2_norm_signal(w0, dt)
     return BoundReport(
         j_star=j_star,
         beta2=beta2,

@@ -30,7 +30,7 @@ from platoonkit.cli import EXIT_OK, main
 from platoonkit.control import ControllerConfig, min_headway
 from platoonkit.errors import InsufficientHorizonWarning
 from platoonkit.montecarlo import (
-    _simulate_batch,
+    run_realizations,
     run_safety_study,
     validate_mean_trajectory,
 )
@@ -92,7 +92,7 @@ def fig_peak_errors():
     out = {}
     for name in ("fig2", "fig3"):
         sc = load_scenario(SCENARIOS / f"{name}.scn")
-        err = _simulate_batch(sc, np.arange(100), collect_errors=True)[0]
+        err = np.stack([r.spacing_errors for r in run_realizations(sc, np.arange(100))])
         out[name] = {
             "scenario": sc,
             "open": np.maximum(0.0, -err).max(axis=1),

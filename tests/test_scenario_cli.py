@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import platoonkit
-from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
 from platoonkit.dynamics import LeaderSegment
 from platoonkit.errors import ConfigError
 from platoonkit.scenario import (
@@ -178,22 +178,39 @@ class TestCli:
         main(["simulate", str(scn), "--out", str(tmp_path / "r")])
         assert file_hash(scn) == before
 
-    def test_headway_reference_values(self, capsys):
+    def test_headway_reference_values(self, tmp_path, capsys):
         assert main(["headway", "--tau", "0.5", "--ka", "0.4",
-                     "--gilbert", "0.3", "0.1", "0.2", "--json", "--out", "/tmp/hw1"]) == EXIT_OK
+                     "--gilbert", "0.3", "0.1", "0.2", "--json", "--out", str(tmp_path / "hw1")]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert float(rec["gamma"]) == pytest.approx(0.4)
         assert float(rec["h_min_s"]) == pytest.approx(0.862069, abs=1e-6)
 
         assert main(["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "1.0",
-                     "--json", "--out", "/tmp/hw2"]) == EXIT_OK
+                     "--json", "--out", str(tmp_path / "hw2")]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert float(rec["h_min_s"]) == pytest.approx(0.714286, abs=1e-6)
 
         assert main(["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.0",
-                     "--json", "--out", "/tmp/hw3"]) == EXIT_OK
+                     "--json", "--out", str(tmp_path / "hw3")]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert float(rec["h_min_s"]) == 1.0
+
+    @pytest.mark.parametrize("argv, name", [
+        (["bound", str(SCENARIOS / "fig3.scn"), "--alpha-star", "nan"], "alpha_star"),
+        (["bound", str(SCENARIOS / "fig3.scn"), "--alpha-star", "inf"], "alpha_star"),
+        (["bound", str(SCENARIOS / "fig3.scn"), "--alpha-star", "-1"], "alpha_star"),
+        (["headway", "--tau", "0.5", "--ka", "nan", "--gamma", "0.5"], "k_a"),
+        (["headway", "--tau", "0.5", "--ka", "inf", "--gamma", "0.5"], "k_a"),
+        (["headway", "--tau", "0.5", "--ka", "-0.4", "--gamma", "0.5"], "k_a"),
+        (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "1.5"], "gamma"),
+        (["headway", "--tau", "-1", "--ka", "0.4", "--gamma", "0.5"], "tau"),
+        (["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "1.5", "0.1", "0.2"], "p_gb"),
+    ])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv, name):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "manifest.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
 
     def test_headway_degenerate_chain_exit_code(self, tmp_path):
         code = main(["headway", "--tau", "0.5", "--ka", "0.4",
@@ -262,24 +279,35 @@ class TestCli:
             text = (SCENARIOS / f"{name}.scn").read_text()
             path.write_text(text.replace("duration_s = 25", "duration_s = 6")
                                 .replace("duration_s = 40", "duration_s = 12"))
-        runs = {
-            "headway": ["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "0.3", "0.1", "0.2"],
-            "simulate": ["simulate", scn, "--states", "--realization", "2", "--seed", "5"],
-            "stability": ["stability", scn],
-            "bound": ["bound", scn, "--alpha-star", "0.5"],
-            "montecarlo": ["montecarlo", str(short["safety"]), "--mode", "acc", "--realizations", "30"],
-            "validate-mean": ["validate-mean", str(short["fig3"]), "--realizations", "20"],
-        }
-        for command, argv in runs.items():
-            out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        runs = [
+            ["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "0.3", "0.1", "0.2"],
+            ["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.6", "--json"],
+            ["simulate", scn, "--states", "--realization", "2", "--seed", "5"],
+            ["simulate", scn],
+            ["stability", scn],
+            ["bound", scn, "--alpha-star", "0.5"],
+            ["montecarlo", str(short["safety"]), "--mode", "acc", "--realizations", "30"],
+            ["montecarlo", str(short["safety"]), "--realizations", "30"],
+            ["validate-mean", str(short["fig3"]), "--realizations", "20"],
+        ]
+        # Every parsed destination is recorded except these; --seed lands in
+        # the scenario's base_seed.
+        unrecorded = {"command", "seed", "out", "json"}
+        for n, argv in enumerate(runs):
+            out1, out2 = tmp_path / f"run{n}" / "a", tmp_path / f"run{n}" / "b"
             assert main(argv + ["--out", str(out1)]) == EXIT_OK
             assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == EXIT_OK
             files = sorted(p.name for p in out1.iterdir())
             manifest = json.loads((out1 / "manifest.json").read_text())
+            command = argv[0]
+            assert manifest["command"] == command
+            assert set(manifest["config"]) == set(vars(build_parser().parse_args(argv))) - unrecorded
+            if command != "headway":
+                assert manifest["base_seed"] == manifest["config"]["scenario"]["base_seed"]
             assert files == sorted(manifest["outputs"] + ["manifest.json"])
             assert sorted(p.name for p in out2.iterdir()) == files
             for name in files:
-                assert file_hash(out1 / name) == file_hash(out2 / name), (command, name)
+                assert file_hash(out1 / name) == file_hash(out2 / name), (argv, name)
 
     def test_rerun_rejects_tampered_manifest(self, tmp_path):
         scn = self.write_minimal(tmp_path)

@@ -332,6 +332,11 @@ class TestL2Norm:
         with pytest.raises(InvalidInputError):
             l2_norm_signal([1.0], 0.0)
 
+    @pytest.mark.parametrize("samples, dt", [([1.0], math.inf), ([math.nan], 0.1), ([1.0, -math.inf], 0.1)])
+    def test_non_finite_rejected(self, samples, dt):
+        with pytest.raises(InvalidInputError):
+            l2_norm_signal(samples, dt)
+
 
 class TestErrorSystem:
     def test_hop_realization_matches_tf(self, figure_gains):

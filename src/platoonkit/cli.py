@@ -7,7 +7,8 @@ scenario path replaced by the resolved scenario dict (so `--seed` lands in its
 `base_seed`); `rerun` passes that config back through `_run` and reproduces
 the outputs byte for byte.  CSVs are shaped for direct plotting and carry no
 volatile fields.  Exit codes: 0 success, 2 configuration error or bad flag
-value, 3 numerical error, 4 I/O error.
+value, 3 numerical error, 4 I/O error, 5 out of memory or a worker process
+died.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_RESOURCES = 5
 
 OUTDIR_ENV = "PLATOONKIT_OUTDIR"
 
@@ -268,6 +271,8 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = RunManifest.load(path)
     if manifest.command not in COMMANDS:
         raise ConfigError(f"manifest: unknown command {manifest.command!r}")
+    if not isinstance(manifest.config.get("scenario", {}), dict):
+        raise ConfigError("manifest: config key 'scenario' must be a resolved scenario table")
     out = args.out if args.out is not None else str(path.parent)
     return _run(manifest.command, _ManifestArgs(**{**manifest.config, "json": False, "out": out}))
 
@@ -355,6 +360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (BrokenProcessPool, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Realizations are simulated in vectorized batches, but every random stream is
 owned by one (realization, purpose) pair through a counter-based Philox
 construction, and all per-step math is elementwise, so results are
-bit-identical however the work is batched or ordered.  Streams:
+bit-identical however the work is batched or ordered, and whatever the number
+of worker processes: the moment studies run their fixed BATCH_SIZE batches in
+forked workers, one per usable core (no knob), and add the per-batch sums in
+batch order.  Streams:
 
     SeedSequence((base_seed, 0, realization, pair))  -> channel of one V2V pair
     SeedSequence((base_seed, 1, realization))        -> deceleration limits
@@ -18,7 +21,12 @@ uniforms in the same order however it is split into calls.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -392,10 +400,12 @@ def _simulate_batch(
         if neg.any():
             held = neg & (v == 0.0) & (a == 0.0)
             x_n = np.where(held, x, x_n)
-            hard = neg & ~held & ~frozen
-            for r, i in zip(*np.nonzero(hard)):
-                s = stop_crossing_time(v[r, i], a[r, i], u[r, i], tau, dt)
-                x_n[r, i] = x[r, i] + _position_delta_at(v[r, i], a[r, i], u[r, i], tau, s)
+            rr, ii = np.nonzero(neg & ~held & ~frozen)
+            # the bisection runs on Python floats, twice as fast as on numpy scalars
+            crossing = zip(v[rr, ii].tolist(), a[rr, ii].tolist(), u[rr, ii].tolist(), x[rr, ii].tolist())
+            for r, i, (vi, ai, ui, xi) in zip(rr, ii, crossing):
+                s = stop_crossing_time(vi, ai, ui, tau, dt)
+                x_n[r, i] = xi + _position_delta_at(vi, ai, ui, tau, s)
             v_n = np.where(neg, 0.0, v_n)
             a_n = np.where(neg, 0.0, a_n)
 
@@ -423,20 +433,16 @@ def _simulate_batch(
     return err_series, states, events, limits
 
 
-def _batches(sc: ScenarioConfig, indices, **engine):
-    """Run the engine over indices in fixed BATCH_SIZE chunks, yielding (chunk, result)."""
+def _chunks(indices) -> list[np.ndarray]:
+    """indices in the fixed BATCH_SIZE chunks the engine runs as batches."""
     indices = np.asarray(indices, dtype=int)
-    for lo in range(0, len(indices), BATCH_SIZE):
-        chunk = indices[lo : lo + BATCH_SIZE]
-        yield chunk, _simulate_batch(sc, chunk, **engine)
+    return [indices[lo : lo + BATCH_SIZE] for lo in range(0, len(indices), BATCH_SIZE)]
 
 
-def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
-    """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1.
+def _batch_sums(sc: ScenarioConfig, chunk: np.ndarray, shape: tuple[int, ...], sample):
+    """One batch's per-grid-point sum and sum of squares of sample(k, x, v, a, e), and its events.
 
     sample returns one row of the given shape per realization of the batch.
-    Also returns every realization's collision events, in index order.  The
-    variance is zero for n < 2.
     """
     total = np.zeros((sc.n_steps + 1,) + shape)
     sumsq = np.zeros_like(total)
@@ -446,14 +452,53 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
         total[k] += rows.sum(axis=0)
         sumsq[k] += (rows * rows).sum(axis=0)
 
+    _, _, events, _ = _simulate_batch(sc, chunk, on_step=on_step)
+    return total, sumsq, events
+
+
+def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
+    """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1.
+
+    The fixed BATCH_SIZE batches run in forked worker processes, one per
+    usable core, or in this process when that is one; their sums are added
+    in batch order, so the result does not depend on the worker count.
+    sample must pickle (a module-level function or a partial of one).  Also
+    returns every realization's collision events, in index order.  The
+    variance is zero for n < 2.
+    """
+    chunks = _chunks(np.arange(n))
+    batch = functools.partial(_batch_sums, sc, shape=shape, sample=sample)
+    total = np.zeros((sc.n_steps + 1,) + shape)
+    sumsq = np.zeros_like(total)
     events = []
-    for _, (_, _, evs, _) in _batches(sc, np.arange(n), on_step=on_step):
-        events += evs
+    # os.sched_getaffinity is missing on macOS and Windows: batches run in-process there
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(chunks), cores)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            )
+            parts = pool.map(batch, chunks)
+        else:
+            parts = map(batch, chunks)
+        for part_total, part_sumsq, part_events in parts:
+            total += part_total
+            sumsq += part_sumsq
+            events += part_events
     if n < 2:
         return total, np.zeros_like(total), events
     var = (sumsq - total * total / n) / (n - 1)
     np.maximum(var, 0.0, out=var)
     return total, var, events
+
+
+def _spacing_error(k, x, v, a, e):
+    return e
+
+
+def _state_deviation(det, k, x, v, a, e):
+    return np.stack([x, v, a], axis=-1) - det[k]
 
 
 def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
@@ -462,7 +507,8 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
     Batched; identical to one-at-a-time runs.
     """
     out: list[RealizationResult] = []
-    for chunk, (err, states, events, limits) in _batches(sc, indices, trajectories=True):
+    for chunk in _chunks(indices):
+        err, states, events, limits = _simulate_batch(sc, chunk, trajectories=True)
         for j, idx in enumerate(chunk):
             evs = tuple(events[j])
             out.append(
@@ -504,7 +550,7 @@ def run_safety_study(
     if realizations is not None:
         sc = dataclasses.replace(sc, realizations=realizations)
     n = sc.realizations
-    _, variance, events = _moments(sc, n, (sc.n_followers,), lambda k, x, v, a, e: e)
+    _, variance, events = _moments(sc, n, (sc.n_followers,), _spacing_error)
     n_collided = sum(1 for evs in events if evs)
     event_total = sum(len(evs) for evs in events)
     return SafetyStats(
@@ -537,9 +583,7 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     # carry hundreds of metres while their spread is millimetres, so the raw
     # sum-of-squares variance would cancel catastrophically.  Centered, the
     # leader and every pre-noise sample stay exactly zero.
-    sum_c, var, _ = _moments(
-        sc, n_realizations, (M, 3), lambda k, x, v, a, e: np.stack([x, v, a], axis=-1) - det[k]
-    )
+    sum_c, var, _ = _moments(sc, n_realizations, (M, 3), functools.partial(_state_deviation, det))
     sigma = np.sqrt(var / n_realizations)
     envelope = 3.0 * sigma
 

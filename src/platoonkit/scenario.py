@@ -352,6 +352,8 @@ class RunManifest:
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ConfigError(f"manifest: malformed ({exc})") from None
+        if not isinstance(manifest.config, dict):
+            raise ConfigError("manifest: config must be a table of the command's arguments")
         if data.get("config_sha256") != manifest.config_sha256:
             raise ConfigError("manifest: config hash mismatch")
         return manifest

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
@@ -350,19 +351,25 @@ class TestCollisions:
         assert res.collided == bool(res.collision_events)
 
 
+def crash_study(**overrides) -> ScenarioConfig:
+    """40 heterogeneous-braking runs of which 11 collide, with one or two events each."""
+    base = dict(
+        leader_brakes_at_limit=True,
+        leader=LeaderProfile(),
+        initial_speed=30.0,
+        duration=10.0,
+        controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0),
+        params=VehicleParams(tau=0.5, length=5.0, decel_limit=9.0, accel_limit=3.0),
+        decel_dist=DecelDistribution(kind="truncnorm", mean=7.5, std=1.0, low=4.5, high=9.5),
+        realizations=40,
+    )
+    base.update(overrides)
+    return small_scenario(**base)
+
+
 class TestSafetyStudy:
     def test_streaming_matches_aggregate(self):
-        # 11 of the 40 runs collide, with one or two events each
-        sc = small_scenario(
-            leader_brakes_at_limit=True,
-            leader=LeaderProfile(),
-            initial_speed=30.0,
-            duration=10.0,
-            controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0),
-            params=VehicleParams(tau=0.5, length=5.0, decel_limit=9.0, accel_limit=3.0),
-            decel_dist=DecelDistribution(kind="truncnorm", mean=7.5, std=1.0, low=4.5, high=9.5),
-            realizations=40,
-        )
+        sc = crash_study()
         streamed = run_safety_study(sc)
         runs = run_realizations(sc, np.arange(40))
         counts = np.array([len(r.collision_events) for r in runs])
@@ -387,6 +394,63 @@ class TestSafetyStudy:
         cacc = run_realization(sc, 3)
         assert np.array_equal(acc.decel_limits, cacc.decel_limits)
         assert not np.array_equal(acc.spacing_errors, cacc.spacing_errors)
+
+
+class TestParallelBatches:
+    """Batches run in forked workers, one per usable core; the worker count changes no byte."""
+
+    @pytest.fixture
+    def use_cores(self, monkeypatch):
+        # 40 realizations make three uneven batches of 16, 16 and 8
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 16)
+
+        def use(n: int) -> None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+        return use
+
+    def test_worker_count_changes_no_byte(self, use_cores):
+        sc = crash_study(duration=6.0)
+        iid = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.6), leader=EARLY_BRAKE, duration=4.0)
+
+        def outputs():
+            out = []
+            for mode in ("acc", "cacc"):
+                study = run_safety_study(sc, mode=mode)
+                total, _, events = montecarlo._moments(
+                    dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode)),
+                    40, (sc.n_followers,), montecarlo._spacing_error,
+                )
+                assert sum(map(bool, events)) > 1
+                out += [study.variance_series.tobytes(), study.n_collided, study.mean_events_per_unstable,
+                        total.tobytes(), events]
+            report = validate_mean_trajectory(iid, 40)
+            assert report.max_deviation > 0.0
+            return out + [
+                report.max_deviation, report.max_normalized, report.within_envelope,
+                report.per_vehicle_max_deviation.tobytes(), report.per_vehicle_envelope_at_max.tobytes(),
+            ]
+
+        use_cores(1)
+        one = outputs()
+        use_cores(2)
+        assert outputs() == one
+
+    def test_worker_error_reaches_caller(self, use_cores, monkeypatch):
+        sc = crash_study(duration=2.0)
+        parent, engine = os.getpid(), montecarlo._simulate_batch
+
+        def fail_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ConfigError("decel_dist: raised in a worker")
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_simulate_batch", fail_in_worker)
+        use_cores(1)
+        assert run_safety_study(sc).n_realizations == 40
+        use_cores(2)
+        with pytest.raises(ConfigError, match="raised in a worker"):
+            run_safety_study(sc)
 
 
 class TestMeanValidation:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import platoonkit
-from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from platoonkit import cli, montecarlo
+from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCES, build_parser, main
 from platoonkit.dynamics import LeaderSegment
 from platoonkit.errors import ConfigError
 from platoonkit.scenario import (
@@ -138,6 +139,22 @@ class TestParsing:
 
 def file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+TEST_PID = os.getpid()
+
+
+def exit_in_worker(*args, **kwargs):
+    """Stands in for montecarlo._batch_sums: the worker dies as an OOM-killed one would."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the batch ran in the test process, not in a worker")
+    os._exit(1)
+
+
+def short_safety(tmp_path, duration_s: int) -> Path:
+    scn = tmp_path / "safety.scn"
+    scn.write_text((SCENARIOS / "safety.scn").read_text().replace("duration_s = 25", f"duration_s = {duration_s}"))
+    return scn
 
 
 class TestCli:
@@ -340,6 +357,54 @@ class TestCli:
         capsys.readouterr()
         assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
         assert "tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("scenario", str(SCENARIOS / "fig2.scn"), "'scenario'"),  # a path, not a resolved table
+        (None, ["scenario"], "config must be a table"),
+    ])
+    def test_rerun_names_malformed_config(self, tmp_path, capsys, key, value, named):
+        out1 = tmp_path / "a"
+        assert main(["stability", str(SCENARIOS / "fig2.scn"), "--out", str(out1)]) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        if key is None:
+            manifest["config"] = value
+        else:
+            manifest["config"][key] = value
+        manifest["config_sha256"] = config_hash(manifest["config"])
+        (out1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_dead_worker_and_memory_error_exit_resources(self, tmp_path, monkeypatch, capsys):
+        scn = short_safety(tmp_path, 2)
+        monkeypatch.setattr(montecarlo, "BATCH_SIZE", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(montecarlo, "_batch_sums", exit_in_worker)
+        capsys.readouterr()
+        assert main(["montecarlo", str(scn), "--realizations", "40", "--out", str(tmp_path / "a")]) == EXIT_RESOURCES
+        err = capsys.readouterr().err
+        # the pool words it by whether the death was seen during or after a batch
+        assert err.startswith("resource error: ") and "process pool" in err and err.count("\n") == 1
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_realization", out_of_memory)
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "b")]) == EXIT_RESOURCES
+        assert capsys.readouterr().err == "resource error: out of memory\n"
+
+    def test_forked_workers_warn_nothing(self, tmp_path):
+        scn = short_safety(tmp_path, 2)
+        src = Path(platoonkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "platoonkit.cli", "montecarlo", str(scn),
+             "--realizations", "2049", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_module_entry_point_warns_nothing(self):
         src = Path(platoonkit.__file__).resolve().parent.parent

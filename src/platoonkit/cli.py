@@ -7,8 +7,8 @@ scenario path replaced by the resolved scenario dict (so `--seed` lands in its
 `base_seed`); `rerun` passes that config back through `_run` and reproduces
 the outputs byte for byte.  CSVs are shaped for direct plotting and carry no
 volatile fields.  Exit codes: 0 success, 2 configuration error or bad flag
-value, 3 numerical error, 4 I/O error, 5 out of memory or a worker process
-died.
+value, 3 numerical error (a failed solve or a non-finite result), 4 I/O
+error, 5 out of memory or a worker process died.
 """
 
 from __future__ import annotations
@@ -58,7 +58,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def require_finite_outputs(output: str, values: dict) -> None:
+    """Raise NumericalError naming the first entry of values, bound for output, that holds a nan or an inf.
+
+    Commands check their finished results here instead of each step: a run
+    that overflowed reports the output it would have spoiled.
+    """
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"{output}: {name} is not finite (nan or inf)")
+
+
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    require_finite_outputs(path.name, dict(zip(header, columns)))
     rows = len(columns[0])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -167,17 +179,18 @@ def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
     sim_max = float(np.abs(result.spacing_errors).max())
 
     rep = uniform_error_bound(sys_, args.alpha_star, w0, sc.dt)
-    summary = {
-        "command": "bound",
-        "alpha_star": _fmt(args.alpha_star),
-        "simulated_max_error_m": _fmt(sim_max),
-        "bound_sqrt_trace_m": _fmt(rep.bound),
-        "j_star_sqrt_trace": _fmt(rep.j_star),
-        "beta2": _fmt(rep.beta2),
-        "gamma2": _fmt(rep.gamma2),
-        "eta": _fmt(rep.eta),
-        "w0_l2": _fmt(rep.w0_l2),
+    values = {
+        "alpha_star": args.alpha_star,
+        "simulated_max_error_m": sim_max,
+        "bound_sqrt_trace_m": rep.bound,
+        "j_star_sqrt_trace": rep.j_star,
+        "beta2": rep.beta2,
+        "gamma2": rep.gamma2,
+        "eta": rep.eta,
+        "w0_l2": rep.w0_l2,
     }
+    require_finite_outputs("bound.txt", values)
+    summary = {"command": "bound", **{k: _fmt(v) for k, v in values.items()}}
     write_summary(out / "bound.txt", summary)
     print(f"bound(sqrt_trace)={rep.bound:.4f} m  simulated max |e|={sim_max:.4f} m")
     return ["bound.txt"]
@@ -210,6 +223,12 @@ def cmd_montecarlo(args: argparse.Namespace, out: Path) -> list[str]:
 def cmd_validate_mean(args: argparse.Namespace, out: Path) -> list[str]:
     sc = args.scenario
     report = validate_mean_trajectory(sc, args.realizations)
+    require_finite_outputs("mean_validation.txt", {
+        "max_deviation": report.max_deviation,
+        "max_normalized": report.max_normalized,
+        "veh*_max_dev": report.per_vehicle_max_deviation,
+        "veh*_envelope": report.per_vehicle_envelope_at_max,
+    })
     summary = {
         "command": "validate-mean",
         "realizations": report.n_realizations,
@@ -259,7 +278,9 @@ def _run(command: str, args: argparse.Namespace) -> int:
         base_seed = sc.base_seed
     out = Path(args.out) if args.out is not None else Path(os.environ.get(OUTDIR_ENV, "runs")) / command
     out.mkdir(parents=True, exist_ok=True)
-    outputs = COMMANDS[command](args, out)
+    # an overflow shows in the finished outputs, which the commands check
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = COMMANDS[command](args, out)
     write_manifest(out, command, config, base_seed, outputs)
     return EXIT_OK
 
@@ -351,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except PlatoonKitError as exc:

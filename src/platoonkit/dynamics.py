@@ -134,11 +134,13 @@ def stop_crossing_time(v: float, a: float, u: float, tau: float, dt: float) -> f
     is unique and plain bisection converges.
     """
     lo, hi = 0.0, dt
+    a_tau = a * tau   # _velocity_at inlined: its a * tau * r is (a * tau) * r
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         # the body depends only on (lo, hi): a halving that changes neither
         # is repeated by every later one, so stop there
-        if _velocity_at(v, a, u, tau, mid) > 0.0:
+        r = -math.expm1(-mid / tau)
+        if v + a_tau * r + u * (mid - tau * r) > 0.0:
             if mid == lo:
                 break
             lo = mid

@@ -16,7 +16,16 @@ stationary initial regime, then two per slot; an iid channel draws one per
 slot).  The engine draws each channel's stream in fixed blocks of
 RECEPTION_BLOCK slots and advances every channel of the batch by one slot per
 step, so it never holds a whole-run reception tensor; a stream yields the same
-uniforms in the same order however it is split into calls.
+uniforms in the same order however it is split into calls.  Each drawn tile is
+compared against the channel's thresholds while it is in cache, and only its
+boolean planes are transposed.
+
+A batch is held vehicle-major: x, v, a are (vehicles, realizations) arrays and
+the spacing errors (followers, realizations), so every neighbour difference
+runs on whole contiguous rows.  The moment studies add their samples grid
+point by grid point in realization order, the order of a per-point
+rows.sum(axis=0); they reduce SUM_BLOCK grid points at a time, which gives the
+same bits with fewer, wider reductions.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -63,8 +73,9 @@ __all__ = [
 STREAM_CHANNEL = 0
 STREAM_DECEL = 1
 BATCH_SIZE = 2048          # fixed: aggregation order must not depend on callers
-RECEPTION_BLOCK = 256      # slots per draw call; fewer pay the per-call cost, more grow the block
+RECEPTION_BLOCK = 1024     # slots per draw call; fewer pay the per-call cost, more grow the bool planes
 RECEPTION_TILE = 128       # channels per transposed tile, sized to stay in cache
+SUM_BLOCK = 16             # grid points per moment-sum reduction: wider rows reduce faster, same bits
 ENVELOPE_ATOL = 1e-9       # absorbs float accumulation noise on deterministic components
 FAMILY_ALPHA = 2.0 * float(ndtr(-3.0))   # two-sided 3-sigma level of the mean-trajectory test
 
@@ -171,6 +182,8 @@ class ScenarioConfig:
             raise ConfigError("sim.duration_s: must be positive")
         if not (self.dt > 0):
             raise ConfigError("sim.dt_s: must be positive")
+        if not self.duration / self.dt < np.iinfo(np.intp).max:
+            raise ConfigError("sim.dt_s: too small for sim.duration_s: more steps than an array can index")
         if self.n_steps < 1:
             raise ConfigError("sim.duration_s: shorter than one step")
         if self.initial_speed < 0:
@@ -276,19 +289,21 @@ def _decel_rng(base_seed: int, realization: int) -> np.random.Generator:
 
 
 def _receptions(channel: ChannelSpec, base_seed: int, indices: np.ndarray, n_pairs: int, n_slots: int):
-    """Yield each slot's (R, n_pairs) reception mask in turn, for the whole batch.
+    """Yield each slot's (n_pairs, R) reception mask in turn, for the whole batch.
 
-    Channel j = r * n_pairs + p reads the stream of pair p of realization
+    Channel j = p * R + r reads the stream of pair p of realization
     indices[r], draw for draw as channel.simulate_reception (Gilbert: one
     uniform for the stationary initial regime, then two per slot) or
     iid_channel (one per slot) would.  Each stream is drawn RECEPTION_BLOCK
-    slots at a time into a tile of RECEPTION_TILE channels, which is
-    transposed into a (draws, channels) block while it is still in cache, so
-    every slot reads contiguous rows and the chain steps all channels at once.
+    slots at a time into a tile of RECEPTION_TILE channels.  The tile is
+    compared against its thresholds while it is still in cache (Gilbert:
+    stay good, leave bad, received while bad; iid: received), and the
+    boolean planes are transposed into (slots, channels) blocks, so every
+    slot reads contiguous rows and the chain steps all channels at once.
     """
     R = len(indices)
     n_chan = R * n_pairs
-    rngs = [_channel_rng(base_seed, int(idx), p) for idx in indices for p in range(n_pairs)]
+    rngs = [_channel_rng(base_seed, int(idx), p) for p in range(n_pairs) for idx in indices]
     gilbert = channel.kind == "gilbert"
     per_slot = 2 if gilbert else 1
     if gilbert:
@@ -296,20 +311,27 @@ def _receptions(channel: ChannelSpec, base_seed: int, indices: np.ndarray, n_pai
         good = stationary_good_probability(gp)
         cur = np.array([rng.random() for rng in rngs]) < good
     tile = np.empty((min(RECEPTION_TILE, n_chan), per_slot * RECEPTION_BLOCK))
-    block = np.empty((per_slot * RECEPTION_BLOCK, n_chan))
+    planes = np.empty((3 if gilbert else 1, RECEPTION_BLOCK, n_chan), dtype=bool)
     for k0 in range(0, n_slots, RECEPTION_BLOCK):
-        w = per_slot * min(RECEPTION_BLOCK, n_slots - k0)
+        w = min(RECEPTION_BLOCK, n_slots - k0)
         for lo in range(0, n_chan, RECEPTION_TILE):
             hi = min(lo + RECEPTION_TILE, n_chan)
             for j in range(lo, hi):
-                rngs[j].random(out=tile[j - lo, :w])
-            block[:w, lo:hi] = tile[: hi - lo, :w].T
-        for s in range(0, w, per_slot):
+                rngs[j].random(out=tile[j - lo, : per_slot * w])
+            drawn = tile[: hi - lo, : per_slot * w]
             if gilbert:
-                cur = np.where(cur, block[s] >= gp.p_gb, block[s] < gp.p_bg)
-                yield (cur | (block[s + 1] < gp.q)).reshape(R, n_pairs)
+                planes[0, :w, lo:hi] = (drawn[:, 0::2] >= gp.p_gb).T
+                planes[1, :w, lo:hi] = (drawn[:, 0::2] < gp.p_bg).T
+                planes[2, :w, lo:hi] = (drawn[:, 1::2] < gp.q).T
             else:
-                yield (block[s] < channel.gamma).reshape(R, n_pairs)
+                planes[0, :w, lo:hi] = (drawn < channel.gamma).T
+        for s in range(w):
+            if gilbert:
+                cur = (cur & planes[0, s]) | (planes[1, s] & ~cur)
+                yield (cur | planes[2, s]).reshape(n_pairs, R)
+            else:
+                # a copy: the next block overwrites the planes
+                yield planes[0, s].reshape(n_pairs, R).copy()
 
 
 def _decel_limits(sc: ScenarioConfig, indices: np.ndarray) -> np.ndarray:
@@ -330,8 +352,11 @@ def _simulate_batch(
     """Propagate a batch of realizations; the single engine behind every study.
 
     Returns (err_series, states, events_per_realization, limits).  err_series
-    and states are None unless trajectories is set.  on_step(k, x, v, a, e)
-    is invoked at every recorded grid point with the current batch arrays.
+    and states are None unless trajectories is set.  The batch is held
+    vehicle-major, so every neighbour difference runs on whole contiguous
+    rows: on_step(k, x, v, a, e) is invoked at every recorded grid point with
+    the current (n_vehicles, R) arrays x, v, a and the (n_followers, R)
+    spacing errors e.
     """
     indices = np.asarray(indices, dtype=int)
     R, M, F, T = len(indices), sc.n_vehicles, sc.n_followers, sc.n_steps
@@ -346,51 +371,58 @@ def _simulate_batch(
     ka_w = cfg.k_a * wfactor
 
     limits = _decel_limits(sc, indices)
+    floor = -np.ascontiguousarray(limits.T)
     accel_limit = sc.params.accel_limit
     lengths = np.full(M, sc.params.length)
 
-    x = np.empty((R, M))
-    v = np.full((R, M), float(sc.initial_speed))
-    a = np.zeros((R, M))
-    x[:, 0] = 0.0
+    x = np.empty((M, R))
+    v = np.full((M, R), float(sc.initial_speed))
+    a = np.zeros((M, R))
+    x[0] = 0.0
     for i in range(1, M):
-        x[:, i] = x[:, i - 1] - d - hw * sc.initial_speed
+        x[i] = x[i - 1] - d - hw * sc.initial_speed
 
-    frozen = np.zeros((R, M), dtype=bool)
-    x_frozen = np.zeros((R, M))
-    collided_pair = np.zeros((R, F), dtype=bool)
+    frozen = np.zeros((M, R), dtype=bool)
+    x_frozen = np.zeros((M, R))
+    any_frozen = False                   # until the first collision, holding frozen vehicles is a no-op
+    open_pairs = np.ones((F, R), dtype=bool)
     events: list[list[tuple[float, int, int]]] = [[] for _ in range(R)]
 
     err_series = np.empty((R, T + 1, F)) if trajectories else None
     states = np.empty((R, T + 1, M, 3)) if trajectories else None
 
     def record(k: int) -> np.ndarray:
-        e = x[:, 1:] - x[:, :-1] + d + hw * v[:, 1:]
+        e = x[1:] - x[:-1] + d + hw * v[1:]
         if trajectories:
-            err_series[:, k] = e
-            states[:, k, :, 0] = x
-            states[:, k, :, 1] = v
-            states[:, k, :, 2] = a
+            err_series[:, k] = e.T
+            states[:, k, :, 0] = x.T
+            states[:, k, :, 1] = v.T
+            states[:, k, :, 2] = a.T
         if on_step is not None:
             on_step(k, x, v, a, e)
         return e
 
     e_cur = record(0)
-    u = np.empty((R, M))
+    u = np.empty((M, R))
     for k in range(T):
         if sc.leader_brakes_at_limit:
-            u[:, 0] = np.where(v[:, 0] > 0.0, -limits[:, 0], 0.0)
+            u[0] = np.where(v[0] > 0.0, floor[0], 0.0)
         else:
-            u[:, 0] = leader_command(sc.leader, k * dt, v[:, 0])
+            u[0] = leader_command(sc.leader, k * dt, v[0])
 
         if recv is not None:
-            ff = np.where(next(recv), cfg.k_a * a[:, :-1], 0.0)
+            # np.where(received, k_a * a, 0.0) bit for bit, without its branch per
+            # element: a lost packet clears every bit of its float (to +0.0)
+            keep = -next(recv).astype(np.uint64)
+            ff = ((cfg.k_a * a[:-1]).view(np.uint64) & keep).view(np.float64)
         elif ka_w != 0.0:
-            ff = ka_w * a[:, :-1]
+            ff = ka_w * a[:-1]
         else:
             ff = 0.0
-        u[:, 1:] = ff - cfg.k_v * (v[:, 1:] - v[:, :-1]) - cfg.k_p * e_cur
-        np.clip(u, -limits, accel_limit, out=u)
+        u[1:] = ff - cfg.k_v * (v[1:] - v[:-1]) - cfg.k_p * e_cur
+        # np.clip's bits, in a third of its time (floor < 0 < accel_limit: no tie at zero)
+        np.maximum(u, floor, out=u)
+        np.minimum(u, accel_limit, out=u)
 
         a_n = a * c_aa + u * c_au
         v_n = v + a * c_va + u * c_vu
@@ -400,31 +432,35 @@ def _simulate_batch(
         if neg.any():
             held = neg & (v == 0.0) & (a == 0.0)
             x_n = np.where(held, x, x_n)
-            rr, ii = np.nonzero(neg & ~held & ~frozen)
+            ii, rr = np.nonzero(neg & ~held & ~frozen)
             # the bisection runs on Python floats, twice as fast as on numpy scalars
-            crossing = zip(v[rr, ii].tolist(), a[rr, ii].tolist(), u[rr, ii].tolist(), x[rr, ii].tolist())
-            for r, i, (vi, ai, ui, xi) in zip(rr, ii, crossing):
+            crossing = zip(v[ii, rr].tolist(), a[ii, rr].tolist(), u[ii, rr].tolist(), x[ii, rr].tolist())
+            for i, r, (vi, ai, ui, xi) in zip(ii, rr, crossing):
                 s = stop_crossing_time(vi, ai, ui, tau, dt)
-                x_n[r, i] = xi + _position_delta_at(vi, ai, ui, tau, s)
+                x_n[i, r] = xi + _position_delta_at(vi, ai, ui, tau, s)
             v_n = np.where(neg, 0.0, v_n)
             a_n = np.where(neg, 0.0, a_n)
 
-        x = np.where(frozen, x_frozen, x_n)
-        v = np.where(frozen, 0.0, v_n)
-        a = np.where(frozen, 0.0, a_n)
+        if any_frozen:
+            x = np.where(frozen, x_frozen, x_n)
+            v = np.where(frozen, 0.0, v_n)
+            a = np.where(frozen, 0.0, a_n)
+        else:
+            x, v, a = x_n, v_n, a_n
 
-        hit = detect_collisions(x, lengths) & ~collided_pair
+        hit = detect_collisions(x.T, lengths).T & open_pairs
         if hit.any():
             t_hit = (k + 1) * dt
-            collided_pair |= hit
-            for r, p in zip(*np.nonzero(hit)):
+            open_pairs &= ~hit
+            for p, r in zip(*np.nonzero(hit)):
                 events[r].append((t_hit, int(p), int(p) + 1))
-            fz = np.zeros((R, M), dtype=bool)
-            fz[:, :-1] |= hit
-            fz[:, 1:] |= hit
+            fz = np.zeros((M, R), dtype=bool)
+            fz[:-1] |= hit
+            fz[1:] |= hit
             new = fz & ~frozen
             x_frozen = np.where(new, x, x_frozen)
             frozen |= fz
+            any_frozen = True
             v = np.where(frozen, 0.0, v)
             a = np.where(frozen, 0.0, a)
 
@@ -442,15 +478,29 @@ def _chunks(indices) -> list[np.ndarray]:
 def _batch_sums(sc: ScenarioConfig, chunk: np.ndarray, shape: tuple[int, ...], sample):
     """One batch's per-grid-point sum and sum of squares of sample(k, x, v, a, e), and its events.
 
-    sample returns one row of the given shape per realization of the batch.
+    sample returns the batch's samples vehicle-major, shape + (R,).  Each
+    grid point's realization-major rows are copied into an (R, SUM_BLOCK,
+    *shape) block, which is reduced over its first axis once every SUM_BLOCK
+    grid points.  numpy adds the rows of an axis-0 reduction one after
+    another in realization order, so every sum keeps the bits of adding
+    rows.sum(axis=0) grid point by grid point.
     """
-    total = np.zeros((sc.n_steps + 1,) + shape)
+    T = sc.n_steps
+    total = np.zeros((T + 1,) + shape)
     sumsq = np.zeros_like(total)
+    # numpy sums a lone column pairwise, not row by row: a one-element
+    # sample is reduced one grid point at a time to keep those bits
+    width = SUM_BLOCK if math.prod(shape) > 1 else 1
+    block = np.empty((len(chunk), width) + shape)
 
     def on_step(k, x, v, a, e):
-        rows = sample(k, x, v, a, e)
-        total[k] += rows.sum(axis=0)
-        sumsq[k] += (rows * rows).sum(axis=0)
+        """Copy grid point k's rows into the block; reduce the block when it is full or k is the last."""
+        j = k % width
+        block[:, j] = np.moveaxis(sample(k, x, v, a, e), -1, 0)
+        if j == width - 1 or k == T:
+            rows = block[:, : j + 1]
+            total[k - j : k + 1] += rows.sum(axis=0)
+            sumsq[k - j : k + 1] += (rows * rows).sum(axis=0)
 
     _, _, events, _ = _simulate_batch(sc, chunk, on_step=on_step)
     return total, sumsq, events
@@ -458,6 +508,8 @@ def _batch_sums(sc: ScenarioConfig, chunk: np.ndarray, shape: tuple[int, ...], s
 
 def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1.
+
+    sample returns the vehicle-major samples of a batch, shape + (R,).
 
     The fixed BATCH_SIZE batches run in forked worker processes, one per
     usable core, or in this process when that is one; their sums are added
@@ -498,7 +550,9 @@ def _spacing_error(k, x, v, a, e):
 
 
 def _state_deviation(det, k, x, v, a, e):
-    return np.stack([x, v, a], axis=-1) - det[k]
+    dev = np.stack([x, v, a], axis=1)
+    dev -= det[k][..., None]
+    return dev
 
 
 def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,19 +37,29 @@ def random_stable_config(rng: np.random.Generator, gamma: float | None = None):
             return cfg, tau, g
 
 
-def reference_platoon_sim(scenario, receptions=None, wfactor=None):
+def reference_platoon_sim(scenario, receptions=None, wfactor=None, decel_limits=None, events=None):
     """Scalar-loop platoon simulation built from the public step/control ops.
 
     Independent of the vectorized engine: one step_vehicle call per vehicle
     per step, controls through cacc_control/acc_control/saturate.  receptions
     is an optional (n_followers, n_steps) boolean array; wfactor (if given)
-    scales the feed-forward deterministically instead.
+    scales the feed-forward deterministically instead.  decel_limits holds
+    one braking limit per vehicle (default: the scenario's).  A leader that
+    brakes at its limit commands -limit while moving, else 0.  When two
+    adjacent vehicles first overlap, both are held where they are with
+    v = a = 0 from then on, and the pair's (time, lead, follower) is appended
+    to events (a list, if given) once.
     """
     from platoonkit.control import acc_control, cacc_control, saturate
     from platoonkit.dynamics import leader_input, spacing_error, step_vehicle
 
     sc = scenario
     M = sc.n_vehicles
+    if decel_limits is None:
+        decel_limits = [sc.params.decel_limit] * M
+    params = [dataclasses.replace(sc.params, decel_limit=float(lim)) for lim in decel_limits]
+    frozen = [False] * M
+    collided = [False] * (M - 1)
     states = []
     row = [VehicleState(0.0, sc.initial_speed, 0.0)]
     for i in range(1, M):
@@ -64,9 +76,11 @@ def reference_platoon_sim(scenario, receptions=None, wfactor=None):
     for k in range(sc.n_steps):
         t = k * sc.dt
         prev = states[-1]
-        new = []
-        u0 = leader_input(sc.leader, prev[0], t)
-        new.append(step_vehicle(prev[0], saturate(u0, sc.params), sc.dt, sc.params))
+        if sc.leader_brakes_at_limit:
+            u0 = -params[0].decel_limit if prev[0].v > 0.0 else 0.0
+        else:
+            u0 = leader_input(sc.leader, prev[0], t)
+        commands = [u0]
         for i in range(1, M):
             if sc.controller.mode == "acc":
                 u = acc_control(prev[i], prev[i - 1], sc.controller, sc.standstill_gap)
@@ -80,7 +94,19 @@ def reference_platoon_sim(scenario, receptions=None, wfactor=None):
                 else:
                     u = cacc_control(prev[i], prev[i - 1], prev[i - 1].a,
                                      sc.controller, sc.standstill_gap)
-            new.append(step_vehicle(prev[i], saturate(u, sc.params), sc.dt, sc.params))
+            commands.append(u)
+        new = [
+            prev[i] if frozen[i] else step_vehicle(prev[i], saturate(commands[i], params[i]), sc.dt, params[i])
+            for i in range(M)
+        ]
+        for p in range(M - 1):
+            if not collided[p] and new[p].x - new[p + 1].x - sc.params.length <= 0.0:
+                collided[p] = True
+                if events is not None:
+                    events.append(((k + 1) * sc.dt, p, p + 1))
+                for i in (p, p + 1):
+                    frozen[i] = True
+                    new[i] = VehicleState(new[i].x, 0.0, 0.0)
         states.append(new)
         errors.append([spacing_error(new[i], new[i - 1], sc.controller.h_w, sc.standstill_gap)
                        for i in range(1, M)])

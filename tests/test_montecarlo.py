@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from platoonkit.errors import ConfigError, InvalidInputError
 from platoonkit.montecarlo import (
     RECEPTION_BLOCK,
     RECEPTION_TILE,
+    SUM_BLOCK,
     ChannelSpec,
     DecelDistribution,
     ScenarioConfig,
@@ -232,7 +234,9 @@ class TestReceptions:
         assert len(self.INDICES) * self.N_PAIRS % RECEPTION_TILE != 0
         assert self.N_SLOTS % RECEPTION_BLOCK != 0
         gen = _receptions(channel, 7, self.INDICES, self.N_PAIRS, self.N_SLOTS)
+        # (n_pairs, R) per slot: follower-major, like the engine's batch
         out = np.stack([next(gen) for _ in range(self.N_SLOTS)], axis=-1)
+        assert out.shape == (self.N_PAIRS, len(self.INDICES), self.N_SLOTS)
         assert next(gen, None) is None
         return out
 
@@ -245,7 +249,7 @@ class TestReceptions:
                 state = initial_state(gp, rng)
                 for k in range(self.N_SLOTS):
                     state, received = channel_step(state, gp, rng)
-                    assert recv[r, p, k] == received, (idx, p, k)
+                    assert recv[p, r, k] == received, (idx, p, k)
 
     def test_iid_matches_scalar_draws(self):
         recv = self.masks(ChannelSpec(kind="iid", gamma=0.6))
@@ -253,7 +257,7 @@ class TestReceptions:
             for p in range(self.N_PAIRS):
                 rng = pair_stream(7, idx, p)
                 expected = [iid_channel(0.6, rng) for _ in range(self.N_SLOTS)]
-                assert recv[r, p].tolist() == expected, (idx, p)
+                assert recv[p, r].tolist() == expected, (idx, p)
 
 
 class TestDeterminism:
@@ -367,6 +371,35 @@ def crash_study(**overrides) -> ScenarioConfig:
     return small_scenario(**base)
 
 
+def decel_stream(base_seed: int, realization: int) -> np.random.Generator:
+    """The documented deceleration-limit stream of one realization."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((base_seed, 1, realization))))
+
+
+class TestSafetyOracle:
+    """The engine's safety paths against the scalar reference: per-vehicle
+    decel limits, the leader braking at its limit, stop-and-creep and
+    collision freezing, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["acc", "cacc"])
+    def test_crash_study_matches_scalar_reference(self, mode):
+        sc = crash_study(controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0, mode=mode))
+        runs = run_realizations(sc, range(40))
+        n_collided = 0
+        for r in runs:
+            limits = sc.decel_dist.sample(sc.n_vehicles, decel_stream(sc.base_seed, r.index))
+            assert np.array_equal(r.decel_limits, limits)
+            events = []
+            states, errors = reference_platoon_sim(sc, decel_limits=limits, events=events)
+            assert np.array_equal(r.states, states), r.index
+            assert np.array_equal(r.spacing_errors, errors), r.index
+            assert r.collision_events == tuple(events), r.index
+            n_collided += r.collided
+        # the paths under test ran: some runs collided, some did not, and vehicles stopped
+        assert 0 < n_collided < 40
+        assert any((r.states[1:, :, 1] == 0.0).any() for r in runs)
+
+
 class TestSafetyStudy:
     def test_streaming_matches_aggregate(self):
         sc = crash_study()
@@ -451,6 +484,51 @@ class TestParallelBatches:
         use_cores(2)
         with pytest.raises(ConfigError, match="raised in a worker"):
             run_safety_study(sc)
+
+
+class TestMoments:
+    """_moments sums blocks of SUM_BLOCK grid points at once, with the bits of a per-point loop."""
+
+    @staticmethod
+    def per_point(samples):
+        """The per-point loop over (points, realizations, *shape) samples: sums and ddof=1 variances."""
+        n = samples.shape[1]
+        total = np.zeros((samples.shape[0],) + samples.shape[2:])
+        sumsq = np.zeros_like(total)
+        for k, rows in enumerate(samples):
+            total[k] += rows.sum(axis=0)
+            sumsq[k] += (rows * rows).sum(axis=0)
+        var = np.maximum((sumsq - total * total / n) / (n - 1), 0.0) if n > 1 else np.zeros_like(total)
+        return total, var
+
+    # grid points: below, at, one past and off a multiple of SUM_BLOCK
+    @pytest.mark.parametrize("n_steps", [4, 15, 16, 36])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocked_sums_match_per_point_loop(self, n_steps, n):
+        assert 5 < SUM_BLOCK < 37
+        sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.3, 0.1, 0.2)),
+                            leader=LeaderProfile((LeaderSegment(0.0, -2.0),)), duration=n_steps * 0.01)
+        runs = run_realizations(sc, range(n))
+        det = run_realization(montecarlo.deterministic_equivalent(sc), 0).states
+
+        total, var, _ = montecarlo._moments(sc, n, (sc.n_followers,), montecarlo._spacing_error)
+        ref_total, ref_var = self.per_point(np.stack([r.spacing_errors for r in runs], axis=1))
+        assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
+
+        sample = functools.partial(montecarlo._state_deviation, det)
+        total, var, _ = montecarlo._moments(sc, n, (sc.n_vehicles, 3), sample)
+        ref_total, ref_var = self.per_point(np.stack([r.states for r in runs], axis=1) - det[:, None])
+        assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
+        assert np.any(total != 0.0)
+
+    def test_one_follower_keeps_pairwise_bits(self):
+        # numpy sums a lone column pairwise once it has 8 or more rows
+        sc = small_scenario(n_followers=1, channel=ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.3, 0.1, 0.2)),
+                            leader=EARLY_BRAKE, duration=2.0)
+        runs = run_realizations(sc, range(20))
+        total, var, _ = montecarlo._moments(sc, 20, (1,), montecarlo._spacing_error)
+        ref_total, ref_var = self.per_point(np.stack([r.spacing_errors for r in runs], axis=1))
+        assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
 
 
 class TestMeanValidation:

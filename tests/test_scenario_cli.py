@@ -416,6 +416,45 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
 
+    def run_edited_fig3(self, tmp_path, command, old, new, *extra):
+        """Run command on fig3.scn with one line edited, in a fresh interpreter: (exit code, stderr)."""
+        text = (SCENARIOS / "fig3.scn").read_text()
+        assert old in text
+        scn = tmp_path / "edited.scn"
+        scn.write_text(text.replace(old, new).replace("duration_s = 40", "duration_s = 12"))
+        src = Path(platoonkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "platoonkit.cli", command, str(scn), *extra, "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stderr
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("simulate", [], "spacing_errors.csv: e1_m"),
+        ("bound", [], "bound.txt: simulated_max_error_m"),
+        ("validate-mean", ["--realizations", "3"], "mean_validation.txt: max_deviation"),
+    ])
+    def test_non_finite_result_is_numerical_error(self, tmp_path, command, extra, named):
+        # the string overflows at once; its outputs would read nan
+        code, err = self.run_edited_fig3(tmp_path, command, "initial_speed_mps = 25",
+                                         "initial_speed_mps = 1e308", *extra)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith(f"numerical error: {named} is not finite") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["stability", "bound"])
+    def test_failed_solve_is_numerical_error(self, tmp_path, command):
+        code, err = self.run_edited_fig3(tmp_path, command, "tau_s = 0.5", "tau_s = 1e-310")
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "bound"])
+    def test_unindexable_step_count_is_config_error(self, tmp_path, command):
+        code, err = self.run_edited_fig3(tmp_path, command, "dt_s = 0.01", "dt_s = 1e-300")
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: sim.dt_s: ") and err.count("\n") == 1
+
     def test_outdir_env_var(self, tmp_path, monkeypatch):
         scn = self.write_minimal(tmp_path)
         monkeypatch.setenv("PLATOONKIT_OUTDIR", str(tmp_path / "envruns"))

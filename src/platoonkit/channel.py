@@ -9,10 +9,8 @@ are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "stationary_good_probability",
     "initial_state",
     "simulate_reception",
-    "write_reception_csv",
 ]
 
 
@@ -160,13 +157,3 @@ def simulate_reception(
     received = good | (u[:, 1] < params.q)
     return good, received
 
-
-def write_reception_csv(path: str | Path, regimes_good: np.ndarray, received: np.ndarray) -> None:
-    """Export a reception log as CSV columns (slot, regime, received)."""
-    if len(regimes_good) != len(received):
-        raise InvalidInputError("regimes and receptions must have equal length")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "regime", "received"])
-        for k, (g, r) in enumerate(zip(regimes_good, received)):
-            writer.writerow([k, "good" if g else "bad", int(r)])

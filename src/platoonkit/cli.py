@@ -138,6 +138,7 @@ def cmd_headway(args: argparse.Namespace, out: Path) -> list[str]:
         "gamma": _fmt(gamma),
         "h_min_s": _fmt(h_min),
     }
+    require_finite_outputs("headway.txt", {"h_min_s": h_min})
     if args.json:
         print(json.dumps(record))
     else:

@@ -184,6 +184,7 @@ def leader_command(profile: LeaderProfile, t: float, v):
     The active segment is the last one starting at or before t.  Its command
     reverts to 0 where v has reached the segment's target velocity in the
     direction of the command (velocity hold).  An empty profile commands 0.
+    A float v gets a float; a velocity hold on an array v gives an array.
     """
     active = None
     for seg in profile.segments:
@@ -195,7 +196,9 @@ def leader_command(profile: LeaderProfile, t: float, v):
     if active.target_velocity is None or active.u == 0.0:
         return active.u
     held = v <= active.target_velocity if active.u < 0.0 else v >= active.target_velocity
-    return np.where(held, 0.0, active.u)
+    if isinstance(held, np.ndarray):
+        return np.where(held, 0.0, active.u)
+    return 0.0 if held else active.u
 
 
 def leader_input(profile: LeaderProfile, state: VehicleState, t: float) -> float:

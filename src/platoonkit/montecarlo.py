@@ -26,6 +26,14 @@ runs on whole contiguous rows.  The moment studies add their samples grid
 point by grid point in realization order, the order of a per-point
 rows.sum(axis=0); they reduce SUM_BLOCK grid points at a time, which gives the
 same bits with fewer, wider reductions.
+
+One realization with no per-step hook (simulate, bound, the deterministic
+equivalent of validate-mean) steps on Python floats instead, where numpy's
+per-call cost would dwarf six-element arrays.  Every step operation is a
+binary64 +, -, *, comparison, max/min or select, rounded correctly and
+uncontracted by both numpy and CPython, and the float loop keeps the batched
+loop's operand order, so it gives the same bits.  Batch size alone selects
+the loop.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import functools
 import math
 import multiprocessing
 import os
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -357,8 +366,15 @@ def _simulate_batch(
     rows: on_step(k, x, v, a, e) is invoked at every recorded grid point with
     the current (n_vehicles, R) arrays x, v, a and the (n_followers, R)
     spacing errors e.
+
+    One realization without on_step goes to _simulate_one, which does this
+    loop's arithmetic on Python floats in the same operand order and so
+    returns the same bits (its docstring gives the argument); a batch of two
+    or more, or any batch with on_step, runs here.
     """
     indices = np.asarray(indices, dtype=int)
+    if len(indices) == 1 and on_step is None:
+        return _simulate_one(sc, indices, trajectories)
     R, M, F, T = len(indices), sc.n_vehicles, sc.n_followers, sc.n_steps
     cfg = sc.controller
     dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
@@ -467,6 +483,113 @@ def _simulate_batch(
         e_cur = record(k + 1)
 
     return err_series, states, events, limits
+
+
+def _simulate_one(sc: ScenarioConfig, indices: np.ndarray, trajectories: bool):
+    """_simulate_batch for one realization and no on_step hook, stepped on Python floats.
+
+    Each step does the batched loop's arithmetic in the same operand order:
+    leader command, feed-forward, control law, clamp, ZOH update, stop clamp,
+    collision freezing, overlap test.  Every one of those is a binary64 +, -,
+    *, comparison, max/min or select, which numpy's ufuncs and CPython's
+    floats both round correctly and neither contracts into a fused
+    multiply-add, so every value keeps the batched loop's bits.  Three spots
+    where a naive port would differ:
+    - without feed-forward (ACC) the law is 0.0 - k_v*dv - k_p*e; -k_v*dv
+      gives -0.0 where dv and e are zero;
+    - a lost packet contributes a +0.0 feed-forward;
+    - the deterministic channel forms (k_a*gamma)*a, which rounds unlike
+      k_a*(gamma*a).
+    A command's signed zero reaches a state only when every other term of
+    its update is -0.0 too; the loop keeps them all the same.  The overlap
+    test is detect_collisions' comparison, pair by pair.  Trajectories go
+    into flat float64 buffers, not lists of Python floats.
+    """
+    M, F, T = sc.n_vehicles, sc.n_followers, sc.n_steps
+    cfg = sc.controller
+    dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
+    k_a, k_v, k_p = cfg.k_a, cfg.k_v, cfg.k_p
+    c_aa, c_au, c_va, c_vu, c_xa, c_xu = zoh_coefficients(tau, dt)
+
+    recv = None
+    if cfg.mode == "cacc" and sc.channel.kind in ("gilbert", "iid"):
+        recv = _receptions(sc.channel, sc.base_seed, indices, F, T)
+    ka_w = k_a * (sc.channel.effective_gamma() if cfg.mode == "cacc" else 0.0)
+
+    limits = _decel_limits(sc, indices)
+    floor = (-limits[0]).tolist()
+    accel_limit, length = sc.params.accel_limit, sc.params.length
+
+    x = [0.0] * M
+    for i in range(1, M):
+        x[i] = x[i - 1] - d - hw * sc.initial_speed
+    v = [float(sc.initial_speed)] * M
+    a = [0.0] * M
+    u = [0.0] * M
+    frozen = [False] * M
+    open_pairs = [True] * F
+    events: list[tuple[float, int, int]] = []
+    pairs, followers, vehicles = range(F), range(1, M), range(M)
+    # (step, x/v/a, vehicle) rows, returned as a (step, vehicle, x/v/a) view: no copy
+    st, es = array("d"), array("d")
+
+    e = [x[i] - x[i - 1] + d + hw * v[i] for i in followers]
+    for k in range(T + 1):
+        if trajectories:
+            st.extend(x)
+            st.extend(v)
+            st.extend(a)
+            es.extend(e)
+        if k == T:
+            break
+
+        if sc.leader_brakes_at_limit:
+            u[0] = floor[0] if v[0] > 0.0 else 0.0
+        else:
+            u[0] = leader_command(sc.leader, k * dt, v[0])
+        got = next(recv).ravel().tolist() if recv is not None else None
+        for i in followers:
+            if got is not None:
+                ff = k_a * a[i - 1] if got[i - 1] else 0.0
+            elif ka_w != 0.0:
+                ff = ka_w * a[i - 1]
+            else:
+                ff = 0.0
+            u[i] = ff - k_v * (v[i] - v[i - 1]) - k_p * e[i - 1]
+
+        for i in vehicles:
+            if frozen[i]:
+                continue
+            ui, xi, vi, ai = u[i], x[i], v[i], a[i]
+            # np.maximum, then np.minimum: a nan command stays nan
+            if ui < floor[i]:
+                ui = floor[i]
+            if ui > accel_limit:
+                ui = accel_limit
+            v_n = vi + ai * c_va + ui * c_vu
+            if v_n < 0.0:
+                if vi != 0.0 or ai != 0.0:
+                    s = stop_crossing_time(vi, ai, ui, tau, dt)
+                    x[i] = xi + _position_delta_at(vi, ai, ui, tau, s)
+                v[i] = a[i] = 0.0
+            else:
+                x[i] = xi + vi * dt + ai * c_xa + ui * c_xu
+                v[i] = v_n
+                a[i] = ai * c_aa + ui * c_au
+
+        hit = [p for p in pairs if open_pairs[p] and x[p] - x[p + 1] - length <= 0.0]
+        for p in hit:
+            open_pairs[p] = False
+            events.append(((k + 1) * dt, p, p + 1))
+            frozen[p] = frozen[p + 1] = True
+            v[p] = a[p] = v[p + 1] = a[p + 1] = 0.0
+
+        e = [x[i] - x[i - 1] + d + hw * v[i] for i in followers]
+
+    if not trajectories:
+        return None, None, [events], limits
+    states = np.frombuffer(st).reshape(1, T + 1, 3, M).transpose(0, 1, 3, 2)
+    return np.frombuffer(es).reshape(1, T + 1, F), states, [events], limits
 
 
 def _chunks(indices) -> list[np.ndarray]:

@@ -12,7 +12,6 @@ from platoonkit.channel import (
     initial_state,
     simulate_reception,
     stationary_good_probability,
-    write_reception_csv,
 )
 from platoonkit.errors import InsufficientDataError, InvalidInputError, StationaryDistributionError
 
@@ -140,18 +139,3 @@ class TestStreams:
     def test_stationary_good_probability_degenerate(self):
         assert stationary_good_probability(GilbertParams(0.0, 0.0, 0.2)) == 1.0
 
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        good, recv = simulate_reception(BURSTY_LINK, 50, rng)
-        path = tmp_path / "log.csv"
-        write_reception_csv(path, good, recv)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "slot,regime,received"
-        assert len(lines) == 51
-        k, regime, received = lines[1].split(",")
-        assert int(k) == 0
-        assert regime in ("good", "bad")
-        assert (regime == "good") == bool(good[0])
-        assert int(received) == int(recv[0])

@@ -11,6 +11,7 @@ from platoonkit.dynamics import (
     VehicleParams,
     VehicleState,
     _velocity_at,
+    leader_command,
     leader_input,
     spacing_error,
     step_vehicle,
@@ -155,6 +156,14 @@ class TestLeaderInput:
 
     def test_empty_profile(self):
         assert leader_input(LeaderProfile(), VehicleState(0, 10.0, 0), 3.0) == 0.0
+
+    def test_command_is_a_float_for_a_float_velocity(self):
+        # the one-realization engine loop steps on Python floats
+        for v, expected in ((24.0, -9.0), (16.0, 0.0)):
+            u = leader_command(self.profile(), 12.0, v)
+            assert type(u) is float and u == expected
+        u = leader_command(self.profile(), 12.0, np.array([24.0, 16.0]))
+        assert isinstance(u, np.ndarray) and u.tolist() == [-9.0, 0.0]
 
     def test_positive_command_hold(self):
         prof = LeaderProfile((LeaderSegment(0.0, 2.0, 20.0),))

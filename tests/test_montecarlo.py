@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_platoon_sim
 from platoonkit import montecarlo
@@ -112,6 +114,14 @@ class TestDecelSampling:
             DecelDistribution(kind="gauss")
 
 
+def alone_and_batched(sc: ScenarioConfig, r: int) -> list:
+    """Realization r run alone (the float loop) and inside a batch of two (the batched loop), bit for bit equal."""
+    alone, batched = run_realization(sc, r), run_realizations(sc, [r, r + 1])[0]
+    assert alone.states.tobytes() == batched.states.tobytes()
+    assert alone.spacing_errors.tobytes() == batched.spacing_errors.tobytes()
+    return [alone, batched]
+
+
 class TestEngineCore:
     def test_zero_maneuver_zero_errors(self):
         sc = small_scenario(leader=LeaderProfile(), duration=5.0)
@@ -121,25 +131,24 @@ class TestEngineCore:
 
     def test_matches_scalar_reference_ideal(self):
         sc = small_scenario(duration=8.0)
-        engine = run_realization(sc, 0)
         states, errors = reference_platoon_sim(sc)
-        assert np.allclose(engine.states, states, atol=1e-11)
-        assert np.allclose(engine.spacing_errors, errors, atol=1e-11)
+        for engine in alone_and_batched(sc, 0):
+            assert np.allclose(engine.states, states, atol=1e-11)
+            assert np.allclose(engine.spacing_errors, errors, atol=1e-11)
 
     def test_matches_scalar_reference_acc(self):
         sc = small_scenario(
             controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0, mode="acc"),
             duration=8.0,
         )
-        engine = run_realization(sc, 0)
         states, _ = reference_platoon_sim(sc)
-        assert np.allclose(engine.states, states, atol=1e-11)
+        for engine in alone_and_batched(sc, 0):
+            assert np.allclose(engine.states, states, atol=1e-11)
 
     def test_matches_scalar_reference_gilbert(self):
         gp = GilbertParams(0.3, 0.1, 0.2)
         sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=gp), leader=EARLY_BRAKE,
                             duration=6.0)
-        engine = run_realization(sc, 4)
         # replay each pair's documented stream through the scalar channel ops
         recv = np.empty((sc.n_followers, sc.n_steps), dtype=bool)
         for pair in range(sc.n_followers):
@@ -148,25 +157,26 @@ class TestEngineCore:
             for k in range(sc.n_steps):
                 state, recv[pair, k] = channel_step(state, gp, rng)
         states, _ = reference_platoon_sim(sc, receptions=recv)
-        assert np.allclose(engine.states, states, atol=1e-11)
+        for engine in alone_and_batched(sc, 4):
+            assert np.allclose(engine.states, states, atol=1e-11)
 
     def test_matches_scalar_reference_iid(self):
         sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.6), leader=EARLY_BRAKE,
                             duration=6.0)
-        engine = run_realization(sc, 4)
         recv = np.empty((sc.n_followers, sc.n_steps), dtype=bool)
         for pair in range(sc.n_followers):
             rng = pair_stream(sc.base_seed, 4, pair)
             for k in range(sc.n_steps):
                 recv[pair, k] = iid_channel(0.6, rng)
         states, _ = reference_platoon_sim(sc, receptions=recv)
-        assert np.allclose(engine.states, states, atol=1e-11)
+        for engine in alone_and_batched(sc, 4):
+            assert np.allclose(engine.states, states, atol=1e-11)
 
     def test_matches_scalar_reference_deterministic_gamma(self):
         sc = small_scenario(channel=ChannelSpec(kind="deterministic", gamma=0.4), duration=6.0)
-        engine = run_realization(sc, 0)
         states, _ = reference_platoon_sim(sc, wfactor=0.4)
-        assert np.allclose(engine.states, states, atol=1e-11)
+        for engine in alone_and_batched(sc, 0):
+            assert np.allclose(engine.states, states, atol=1e-11)
 
     def test_saturation_respected(self):
         sc = small_scenario(
@@ -385,19 +395,85 @@ class TestSafetyOracle:
     def test_crash_study_matches_scalar_reference(self, mode):
         sc = crash_study(controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0, mode=mode))
         runs = run_realizations(sc, range(40))
+        # one realization at a time takes the float loop, a batch the batched one
+        alone = [run_realization(sc, i) for i in range(40)]
         n_collided = 0
-        for r in runs:
+        for r, single in zip(runs, alone):
             limits = sc.decel_dist.sample(sc.n_vehicles, decel_stream(sc.base_seed, r.index))
-            assert np.array_equal(r.decel_limits, limits)
             events = []
             states, errors = reference_platoon_sim(sc, decel_limits=limits, events=events)
-            assert np.array_equal(r.states, states), r.index
-            assert np.array_equal(r.spacing_errors, errors), r.index
-            assert r.collision_events == tuple(events), r.index
+            for run in (r, single):
+                assert np.array_equal(run.decel_limits, limits)
+                assert np.array_equal(run.states, states), run.index
+                assert np.array_equal(run.spacing_errors, errors), run.index
+                assert run.collision_events == tuple(events), run.index
             n_collided += r.collided
         # the paths under test ran: some runs collided, some did not, and vehicles stopped
         assert 0 < n_collided < 40
         assert any((r.states[1:, :, 1] == 0.0).any() for r in runs)
+
+
+@st.composite
+def small_runs(draw):
+    """A small random scenario and one of its realizations: (scenario, index)."""
+    unit = st.floats(0.05, 0.95)
+    kind = draw(st.sampled_from(["ideal", "iid", "gilbert", "deterministic"]))
+    channel = ChannelSpec(
+        kind=kind,
+        gamma=draw(st.floats(0.0, 1.0)) if kind in ("iid", "deterministic") else None,
+        gilbert=GilbertParams(draw(unit), draw(unit), draw(unit)) if kind == "gilbert" else None,
+    )
+    brakes_at_limit = draw(st.booleans())
+    if brakes_at_limit:
+        leader = LeaderProfile()
+    else:
+        target = st.none() | st.floats(0.0, 30.0)
+        segments = [LeaderSegment(0.0, draw(st.floats(-9.0, 3.0)), draw(target))]
+        if draw(st.booleans()):
+            segments.append(LeaderSegment(draw(st.floats(0.01, 2.5)), draw(st.floats(-9.0, 3.0)), draw(target)))
+        leader = LeaderProfile(tuple(segments))
+    decel = draw(st.sampled_from([None, "point", "truncnorm"]))
+    sc = ScenarioConfig(
+        n_followers=draw(st.integers(1, 4)),
+        params=VehicleParams(tau=draw(st.floats(0.1, 1.0)), length=draw(st.floats(2.0, 5.0)),
+                             decel_limit=draw(st.floats(3.0, 10.0)), accel_limit=draw(st.floats(1.0, 4.0))),
+        controller=ControllerConfig(k_a=draw(st.floats(0.0, 1.0)), k_v=draw(st.floats(0.2, 2.0)),
+                                    k_p=draw(st.floats(0.2, 3.0)), h_w=draw(st.floats(0.05, 1.5)),
+                                    mode=draw(st.sampled_from(["acc", "cacc"]))),
+        channel=channel,
+        leader=leader,
+        leader_brakes_at_limit=brakes_at_limit,
+        # short headways and gaps at speed collide; slow strings stop
+        initial_speed=draw(st.floats(0.0, 35.0)),
+        dt=0.01,
+        duration=draw(st.integers(1, 300)) * 0.01,
+        standstill_gap=draw(st.floats(0.0, 8.0)),
+        decel_dist=None if decel is None else DecelDistribution(kind=decel, value=draw(st.floats(3.0, 10.0))),
+        base_seed=draw(st.integers(0, 1000)),
+    )
+    return sc, draw(st.integers(2, 50))
+
+
+class TestOneRealizationLoop:
+    """A lone realization steps on Python floats; it keeps the batched loop's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=small_runs(), position=st.integers(0, 2))
+    def test_alone_matches_batch_of_three(self, run, position):
+        sc, r = run
+        alone = run_realization(sc, r)
+        batched = run_realizations(sc, [r - position + j for j in range(3)])[position]
+        # tobytes: a signed zero counts as a different bit pattern
+        assert alone.states.tobytes() == batched.states.tobytes()
+        assert alone.spacing_errors.tobytes() == batched.spacing_errors.tobytes()
+        assert alone.collision_events == batched.collision_events
+        assert alone.decel_limits.tobytes() == batched.decel_limits.tobytes()
+        if sc.channel.kind == "ideal":
+            events = []
+            states, errors = reference_platoon_sim(sc, decel_limits=alone.decel_limits, events=events)
+            assert np.array_equal(alone.states, states)
+            assert np.array_equal(alone.spacing_errors, errors)
+            assert alone.collision_events == tuple(events)
 
 
 class TestSafetyStudy:

@@ -234,6 +234,13 @@ class TestCli:
                      "--gilbert", "0", "0", "0.5", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
 
+    def test_headway_infinite_result_is_numerical_error(self, tmp_path, capsys):
+        # 2 * tau overflows: h_min would read inf
+        code = main(["headway", "--tau", "1e308", "--ka", "0.4", "--gamma", "0.5", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "numerical error: headway.txt: h_min_s is not finite (nan or inf)\n"
+        assert not (tmp_path / "headway.txt").exists() and not (tmp_path / "manifest.json").exists()
+
     def test_stability_fig_configs(self, tmp_path, capsys):
         out2 = tmp_path / "s2"
         assert main(["stability", str(SCENARIOS / "fig2.scn"), "--out", str(out2)]) == EXIT_OK

@@ -2,15 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .channel import (
-    ChannelState,
-    GilbertParams,
-    Regime,
-    channel_step,
-    gamma_analytic,
-    gamma_estimate,
-    iid_channel,
-)
+from .channel import GilbertParams, channel_step, gamma_analytic, iid_channel
 from .control import ControllerConfig, acc_control, cacc_control, min_headway, saturate
 from .dynamics import (
     LeaderProfile,
@@ -50,8 +42,7 @@ from .stability import (
 
 __all__ = [
     "__version__",
-    "ChannelState", "GilbertParams", "Regime", "channel_step", "gamma_analytic",
-    "gamma_estimate", "iid_channel",
+    "GilbertParams", "channel_step", "gamma_analytic", "iid_channel",
     "ControllerConfig", "acc_control", "cacc_control", "min_headway", "saturate",
     "LeaderProfile", "LeaderSegment", "VehicleParams", "VehicleState",
     "leader_input", "spacing_error", "step_vehicle",

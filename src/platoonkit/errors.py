@@ -23,10 +23,6 @@ class StationaryDistributionError(NumericalError):
     """Gilbert chain has no unique stationary distribution (P + Q = 0)."""
 
 
-class InsufficientDataError(NumericalError):
-    """An estimator was given an empty sample."""
-
-
 class UnstableLoopError(NumericalError):
     """A transfer function or error system required to be stable is not."""
 

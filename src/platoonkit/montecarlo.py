@@ -11,14 +11,14 @@ batch order.  Streams:
     SeedSequence((base_seed, 0, realization, pair))  -> channel of one V2V pair
     SeedSequence((base_seed, 1, realization))        -> deceleration limits
 
-Channel draws mirror channel.simulate_reception exactly (one uniform for the
-stationary initial regime, then two per slot; an iid channel draws one per
-slot).  The engine draws each channel's stream in fixed blocks of
-RECEPTION_BLOCK slots and advances every channel of the batch by one slot per
-step, so it never holds a whole-run reception tensor; a stream yields the same
-uniforms in the same order however it is split into calls.  Each drawn tile is
-compared against the channel's thresholds while it is in cache, and only its
-boolean planes are transposed.
+Channel draws mirror channel.initial_state, channel.channel_step and
+channel.iid_channel exactly (one uniform for the stationary initial regime,
+then two per slot; an iid channel draws one per slot).  The engine draws each
+channel's stream in fixed blocks of RECEPTION_BLOCK slots and advances every
+channel of the batch by one slot per step, so it never holds a whole-run
+reception tensor; a stream yields the same uniforms in the same order however
+it is split into calls.  Each drawn tile is compared against the channel's
+thresholds while it is in cache, and only its boolean planes are transposed.
 
 A batch is held vehicle-major: x, v, a are (vehicles, realizations) arrays and
 the spacing errors (followers, realizations), so every neighbour difference
@@ -301,10 +301,11 @@ def _receptions(channel: ChannelSpec, base_seed: int, indices: np.ndarray, n_pai
     """Yield each slot's (n_pairs, R) reception mask in turn, for the whole batch.
 
     Channel j = p * R + r reads the stream of pair p of realization
-    indices[r], draw for draw as channel.simulate_reception (Gilbert: one
-    uniform for the stationary initial regime, then two per slot) or
-    iid_channel (one per slot) would.  Each stream is drawn RECEPTION_BLOCK
-    slots at a time into a tile of RECEPTION_TILE channels.  The tile is
+    indices[r], draw for draw as channel.initial_state and then
+    channel.channel_step (Gilbert: one uniform for the stationary initial
+    regime, then two per slot) or channel.iid_channel (one per slot) would.
+    Each stream is drawn RECEPTION_BLOCK slots at a time into a tile of
+    RECEPTION_TILE channels.  The tile is
     compared against its thresholds while it is still in cache (Gilbert:
     stay good, leave bad, received while bad; iid: received), and the
     boolean planes are transposed into (slots, channels) blocks, so every
@@ -355,17 +356,17 @@ def _decel_limits(sc: ScenarioConfig, indices: np.ndarray) -> np.ndarray:
 def _simulate_batch(
     sc: ScenarioConfig,
     indices: np.ndarray,
-    trajectories: bool = False,
+    *,
     on_step: Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ):
     """Propagate a batch of realizations; the single engine behind every study.
 
-    Returns (err_series, states, events_per_realization, limits).  err_series
-    and states are None unless trajectories is set.  The batch is held
-    vehicle-major, so every neighbour difference runs on whole contiguous
-    rows: on_step(k, x, v, a, e) is invoked at every recorded grid point with
-    the current (n_vehicles, R) arrays x, v, a and the (n_followers, R)
-    spacing errors e.
+    Returns (err_series, states, events_per_realization, limits).  Without
+    on_step the trajectories are recorded; with it, err_series and states are
+    None and on_step(k, x, v, a, e) is invoked at every grid point instead,
+    with the current (n_vehicles, R) arrays x, v, a and the (n_followers, R)
+    spacing errors e.  The batch is held vehicle-major, so every neighbour
+    difference runs on whole contiguous rows.
 
     One realization without on_step goes to _simulate_one, which does this
     loop's arithmetic on Python floats in the same operand order and so
@@ -374,7 +375,7 @@ def _simulate_batch(
     """
     indices = np.asarray(indices, dtype=int)
     if len(indices) == 1 and on_step is None:
-        return _simulate_one(sc, indices, trajectories)
+        return _simulate_one(sc, indices)
     R, M, F, T = len(indices), sc.n_vehicles, sc.n_followers, sc.n_steps
     cfg = sc.controller
     dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
@@ -404,17 +405,17 @@ def _simulate_batch(
     open_pairs = np.ones((F, R), dtype=bool)
     events: list[list[tuple[float, int, int]]] = [[] for _ in range(R)]
 
-    err_series = np.empty((R, T + 1, F)) if trajectories else None
-    states = np.empty((R, T + 1, M, 3)) if trajectories else None
+    err_series = np.empty((R, T + 1, F)) if on_step is None else None
+    states = np.empty((R, T + 1, M, 3)) if on_step is None else None
 
     def record(k: int) -> np.ndarray:
         e = x[1:] - x[:-1] + d + hw * v[1:]
-        if trajectories:
+        if on_step is None:
             err_series[:, k] = e.T
             states[:, k, :, 0] = x.T
             states[:, k, :, 1] = v.T
             states[:, k, :, 2] = a.T
-        if on_step is not None:
+        else:
             on_step(k, x, v, a, e)
         return e
 
@@ -485,7 +486,7 @@ def _simulate_batch(
     return err_series, states, events, limits
 
 
-def _simulate_one(sc: ScenarioConfig, indices: np.ndarray, trajectories: bool):
+def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
     """_simulate_batch for one realization and no on_step hook, stepped on Python floats.
 
     Each step does the batched loop's arithmetic in the same operand order:
@@ -535,11 +536,10 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray, trajectories: bool):
 
     e = [x[i] - x[i - 1] + d + hw * v[i] for i in followers]
     for k in range(T + 1):
-        if trajectories:
-            st.extend(x)
-            st.extend(v)
-            st.extend(a)
-            es.extend(e)
+        st.extend(x)
+        st.extend(v)
+        st.extend(a)
+        es.extend(e)
         if k == T:
             break
 
@@ -586,8 +586,6 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray, trajectories: bool):
 
         e = [x[i] - x[i - 1] + d + hw * v[i] for i in followers]
 
-    if not trajectories:
-        return None, None, [events], limits
     states = np.frombuffer(st).reshape(1, T + 1, 3, M).transpose(0, 1, 3, 2)
     return np.frombuffer(es).reshape(1, T + 1, F), states, [events], limits
 
@@ -685,7 +683,7 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
     """
     out: list[RealizationResult] = []
     for chunk in _chunks(indices):
-        err, states, events, limits = _simulate_batch(sc, chunk, trajectories=True)
+        err, states, events, limits = _simulate_batch(sc, chunk)
         for j, idx in enumerate(chunk):
             evs = tuple(events[j])
             out.append(
@@ -704,8 +702,9 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
 
 def run_realization(sc: ScenarioConfig, realization_index: int) -> RealizationResult:
     """Simulate one seeded realization in full, state trajectories included."""
-    if realization_index < 0:
-        raise ConfigError("realization_index must be nonnegative")
+    top = np.iinfo(np.intp).max
+    if not 0 <= realization_index <= top:
+        raise ConfigError(f"realization_index must be in [0, {top}], got {realization_index}")
     return run_realizations(sc, [realization_index])[0]
 
 

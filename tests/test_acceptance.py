@@ -25,11 +25,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platoonkit.channel import GilbertParams, gamma_analytic, simulate_reception
+from platoonkit.channel import GilbertParams, gamma_analytic
 from platoonkit.cli import EXIT_OK, main
 from platoonkit.control import ControllerConfig, min_headway
 from platoonkit.errors import InsufficientHorizonWarning
 from platoonkit.montecarlo import (
+    ChannelSpec,
+    _receptions,
     run_realizations,
     run_safety_study,
     validate_mean_trajectory,
@@ -62,11 +64,9 @@ def test_criterion_1_gamma_formula_and_monte_carlo():
     t0 = time.perf_counter()
     assert gamma_analytic(BURSTY_LINK) == 0.4
 
-    # one million slots of stationary-start chains through the public API
+    # one million slots of stationary-start chains, drawn as the engine draws them
     total, hits = 0, 0
-    for chain in range(200):
-        rng = np.random.default_rng((19, chain))
-        _, recv = simulate_reception(BURSTY_LINK, 5000, rng)
+    for recv in _receptions(ChannelSpec(kind="gilbert", gilbert=BURSTY_LINK), 19, np.arange(200), 1, 5000):
         hits += int(recv.sum())
         total += recv.size
     assert total == 1_000_000

@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 from platoonkit.channel import (
-    ChannelState,
     GilbertParams,
-    Regime,
     channel_step,
     gamma_analytic,
-    gamma_estimate,
     iid_channel,
-    initial_state,
-    simulate_reception,
     stationary_good_probability,
 )
-from platoonkit.errors import InsufficientDataError, InvalidInputError, StationaryDistributionError
+from platoonkit.errors import InvalidInputError, StationaryDistributionError
+from platoonkit.montecarlo import ChannelSpec, _receptions
 
 BURSTY_LINK = GilbertParams(p_gb=0.3, p_bg=0.1, q=0.2)
+
+
+def engine_stream(channel: ChannelSpec, seed: int, n_chan: int, n_slots: int) -> np.ndarray:
+    """(n_slots, n_chan) reception indicators of n_chan channels, as the engine draws them."""
+    gen = _receptions(channel, seed, np.arange(n_chan), 1, n_slots)
+    return np.stack([mask[0] for mask in gen]).astype(float)
 
 
 class TestGammaAnalytic:
@@ -37,26 +39,29 @@ class TestGammaAnalytic:
         with pytest.raises(InvalidInputError):
             GilbertParams(1.2, 0.1, 0.2)
 
+    def test_stationary_good_probability_degenerate(self):
+        assert stationary_good_probability(GilbertParams(0.0, 0.0, 0.2)) == 1.0
+
 
 class TestChannelStep:
     def test_absorbing_good(self):
         params = GilbertParams(0.0, 0.0, 0.3)
         rng = np.random.default_rng(0)
-        state = ChannelState(Regime.GOOD)
+        good = True
         for _ in range(500):
-            state, received = channel_step(state, params, rng)
-            assert state.regime is Regime.GOOD
+            good, received = channel_step(good, params, rng)
+            assert good
             assert received
 
     def test_absorbing_bad_is_bernoulli_q(self):
         params = GilbertParams(0.0, 0.0, 0.2)
         rng = np.random.default_rng(1)
-        state = ChannelState(Regime.BAD)
+        good = False
         hits = 0
         n = 200_000
         for _ in range(n):
-            state, received = channel_step(state, params, rng)
-            assert state.regime is Regime.BAD
+            good, received = channel_step(good, params, rng)
+            assert not good
             hits += received
         # 5 sigma band around q
         sigma = np.sqrt(0.2 * 0.8 / n)
@@ -64,48 +69,63 @@ class TestChannelStep:
 
     def test_stationary_bad_fraction(self):
         rng = np.random.default_rng(2)
-        good, _ = simulate_reception(BURSTY_LINK, 200_000, rng)
-        frac_bad = 1.0 - good.mean()
+        good, n_bad = True, 0
+        for _ in range(200_000):
+            good, _ = channel_step(good, BURSTY_LINK, rng)
+            n_bad += not good
         expected = BURSTY_LINK.p_gb / (BURSTY_LINK.p_gb + BURSTY_LINK.p_bg)
-        assert frac_bad == pytest.approx(expected, abs=0.01)
+        assert n_bad / 200_000 == pytest.approx(expected, abs=0.01)
 
-    def test_simulate_reception_matches_step_loop(self):
-        # batched generator is draw-for-draw the channel_step loop
-        seed = 1234
-        rng1 = np.random.default_rng(seed)
-        good1, recv1 = simulate_reception(BURSTY_LINK, 5000, rng1)
-        rng2 = np.random.default_rng(seed)
-        state = initial_state(BURSTY_LINK, rng2)
-        good2 = np.empty(5000, dtype=bool)
-        recv2 = np.empty(5000, dtype=bool)
-        for k in range(5000):
-            state, r = channel_step(state, BURSTY_LINK, rng2)
-            good2[k] = state.regime is Regime.GOOD
-            recv2[k] = r
-        assert np.array_equal(good1, good2)
-        assert np.array_equal(recv1, recv2)
+
+class TestEngineStream:
+    """The channel's statistics, read on the reception stream the Monte Carlo engine draws."""
+
+    LAGS = np.arange(1, 6)
 
     def test_long_run_reception_matches_analytic(self):
-        rng = np.random.default_rng(3)
-        _, recv = simulate_reception(BURSTY_LINK, 500_000, rng)
+        recv = engine_stream(ChannelSpec(kind="gilbert", gilbert=BURSTY_LINK), 3, 10, 50_000)
         assert recv.mean() == pytest.approx(gamma_analytic(BURSTY_LINK), abs=0.006)
 
+    @staticmethod
+    def autocorrelation_law(params: GilbertParams, lags: np.ndarray) -> np.ndarray:
+        """Lag-j autocorrelation of a stationary chain's reception indicator.
 
-class TestGammaEstimate:
-    def test_half(self):
-        assert gamma_estimate([True, True, False, False]) == 0.5
+        (1-q)^2 pi_G pi_B lambda^j / (gamma (1-gamma)), lambda = 1 - p_gb - p_bg:
+        the indicator is 1 in Good and Bernoulli(q) in Bad, so across slots it
+        covaries only through the regime.
+        """
+        pi_g = stationary_good_probability(params)
+        gamma = gamma_analytic(params)
+        lam = 1.0 - params.p_gb - params.p_bg
+        return (1.0 - params.q) ** 2 * pi_g * (1.0 - pi_g) * lam**lags / (gamma * (1.0 - gamma))
 
-    def test_all_true(self):
-        assert gamma_estimate([True] * 10) == 1.0
+    @staticmethod
+    def pooled_autocorrelation(recv: np.ndarray, lags: np.ndarray) -> np.ndarray:
+        """Autocorrelation at each lag, centred on the mean over all channels and slots.
 
-    def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            gamma_estimate([])
+        Centring each channel on its own mean would hide a chain that never
+        transitions: its channels differ in level, not in time.
+        """
+        dev = recv - recv.mean()
+        var = np.mean(dev * dev)
+        return np.array([np.mean(dev[:-j] * dev[j:]) / var for j in lags])
 
-    def test_gilbert_log_long_run(self):
-        rng = np.random.default_rng(4)
-        _, recv = simulate_reception(BURSTY_LINK, 100_000, rng)
-        assert gamma_estimate(recv) == pytest.approx(0.4, abs=0.02)
+    def test_burst_memory_law(self):
+        law = self.autocorrelation_law(BURSTY_LINK, self.LAGS)
+        assert law == pytest.approx(0.5 * 0.6**self.LAGS, rel=1e-12)
+        recv = engine_stream(ChannelSpec(kind="gilbert", gilbert=BURSTY_LINK), 29, 200, 5000)
+        # ten seeds missed the law by at most 0.0031 at these lags
+        assert np.abs(self.pooled_autocorrelation(recv, self.LAGS) - law).max() <= 0.01
+
+    @pytest.mark.parametrize("channel", [
+        # p_gb + p_bg = 1: the regime forgets itself every slot, gamma = 0.4
+        ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.75, 0.25, 0.2)),
+        ChannelSpec(kind="iid", gamma=0.4),
+    ], ids=["memoryless_gilbert", "iid"])
+    def test_memoryless_links_uncorrelated(self, channel):
+        assert channel.effective_gamma() == pytest.approx(0.4)
+        recv = engine_stream(channel, 29, 200, 5000)
+        assert np.abs(self.pooled_autocorrelation(recv, self.LAGS)).max() <= 0.01
 
 
 class TestIidChannel:
@@ -123,19 +143,3 @@ class TestIidChannel:
     def test_domain(self):
         with pytest.raises(InvalidInputError):
             iid_channel(1.0001, np.random.default_rng(0))
-
-
-class TestStreams:
-    def test_distinct_streams_uncorrelated(self):
-        # distinct channel instances never share a random stream
-        g1, r1 = simulate_reception(BURSTY_LINK, 50_000, np.random.default_rng(100))
-        g2, r2 = simulate_reception(BURSTY_LINK, 50_000, np.random.default_rng(101))
-        x = r1.astype(float) - r1.mean()
-        y = r2.astype(float) - r2.mean()
-        corr = float(np.dot(x, y) / np.sqrt(np.dot(x, x) * np.dot(y, y)))
-        # bursty logs have ~(1+P+Q mixing) fewer effective samples; 3 sigma with slack
-        assert abs(corr) < 4.0 / np.sqrt(50_000 / 4)
-
-    def test_stationary_good_probability_degenerate(self):
-        assert stationary_good_probability(GilbertParams(0.0, 0.0, 0.2)) == 1.0
-

@@ -153,9 +153,9 @@ class TestEngineCore:
         recv = np.empty((sc.n_followers, sc.n_steps), dtype=bool)
         for pair in range(sc.n_followers):
             rng = pair_stream(sc.base_seed, 4, pair)
-            state = initial_state(gp, rng)
+            good = initial_state(gp, rng)
             for k in range(sc.n_steps):
-                state, recv[pair, k] = channel_step(state, gp, rng)
+                good, recv[pair, k] = channel_step(good, gp, rng)
         states, _ = reference_platoon_sim(sc, receptions=recv)
         for engine in alone_and_batched(sc, 4):
             assert np.allclose(engine.states, states, atol=1e-11)
@@ -256,9 +256,9 @@ class TestReceptions:
         for r, idx in enumerate(self.INDICES):
             for p in range(self.N_PAIRS):
                 rng = pair_stream(7, idx, p)
-                state = initial_state(gp, rng)
+                good = initial_state(gp, rng)
                 for k in range(self.N_SLOTS):
-                    state, received = channel_step(state, gp, rng)
+                    good, received = channel_step(good, gp, rng)
                     assert recv[p, r, k] == received, (idx, p, k)
 
     def test_iid_matches_scalar_draws(self):

@@ -222,6 +222,10 @@ class TestCli:
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "1.5"], "gamma"),
         (["headway", "--tau", "-1", "--ka", "0.4", "--gamma", "0.5"], "tau"),
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "1.5", "0.1", "0.2"], "p_gb"),
+        (["simulate", str(SCENARIOS / "fig2.scn"), "--realization", "-1"], "realization_index"),
+        # too large for the engine's index dtype
+        (["simulate", str(SCENARIOS / "fig2.scn"), "--realization", "100000000000000000000000"],
+         "realization_index"),
     ])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv, name):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG

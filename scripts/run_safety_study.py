@@ -39,9 +39,8 @@ def main() -> int:
               f"mean_events_per_unstable="
               f"{'n/a' if s.mean_events_per_unstable is None else f'{s.mean_events_per_unstable:.3f}'}"
               f"  ({time.perf_counter() - t0:.0f}s)")
-        header = ["time_s"] + [f"var_e{i + 1}_m2" for i in range(sc.n_followers)]
-        cols = [s.times] + [s.variance_series[:, i] for i in range(sc.n_followers)]
-        write_csv(out / f"variance_{mode}.csv", header, cols)
+        variances = {f"var_e{i + 1}_m2": s.variance_series[:, i] for i in range(sc.n_followers)}
+        write_csv(out / f"variance_{mode}.csv", {"time_s": s.times, **variances})
 
     acc, cacc = stats["acc"], stats["cacc"]
     print(f"\nconnectivity effect: p_collision {acc.p_collision:.4f} -> {cacc.p_collision:.4f}, "

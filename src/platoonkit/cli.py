@@ -6,9 +6,12 @@ is the parsed arguments minus `command`, `seed`, `out` and `json`, with the
 scenario path replaced by the resolved scenario dict (so `--seed` lands in its
 `base_seed`); `rerun` passes that config back through `_run` and reproduces
 the outputs byte for byte.  CSVs are shaped for direct plotting and carry no
-volatile fields.  Exit codes: 0 success, 2 configuration error or bad flag
-value, 3 numerical error (a failed solve or a non-finite result), 4 I/O
-error, 5 out of memory or a worker process died.
+volatile fields.  Commands hand raw values to `write_csv` and `write_summary`,
+which write every float round-trip, refuse a non-finite one naming its file
+and key, and return the file name for the manifest's outputs.  Exit codes:
+0 success, 2 configuration error or bad flag value, 3 numerical error (a
+failed solve or a non-finite result), 4 I/O error, 5 out of memory or a
+worker process died.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import __version__
 from .channel import GilbertParams, gamma_analytic
 from .control import min_headway
-from .errors import ConfigError, InvalidInputError, NumericalError, PlatoonKitError
+from .errors import ConfigError, InvalidInputError, NumericalError
 from .montecarlo import (
     deterministic_equivalent,
     run_realization,
@@ -51,6 +54,8 @@ EXIT_IO = 4
 EXIT_RESOURCES = 5
 
 OUTDIR_ENV = "PLATOONKIT_OUTDIR"
+# rows per tolist() block in write_csv: as fast as one list per column, in bounded memory
+_CSV_BLOCK = 256
 
 
 def _fmt(x) -> str:
@@ -61,27 +66,32 @@ def _fmt(x) -> str:
 def require_finite_outputs(output: str, values: dict) -> None:
     """Raise NumericalError naming the first entry of values, bound for output, that holds a nan or an inf.
 
-    Commands check their finished results here instead of each step: a run
-    that overflowed reports the output it would have spoiled.
+    The writers check every value here before they write: a run that
+    overflowed reports the output it would have spoiled, and writes nothing.
     """
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise NumericalError(f"{output}: {name} is not finite (nan or inf)")
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    require_finite_outputs(path.name, dict(zip(header, columns)))
-    rows = len(columns[0])
+def write_csv(path: Path, columns: dict) -> str:
+    """Header of the column names, then one row per index: every cell finite and round-trip."""
+    require_finite_outputs(path.name, columns)
+    arrays = [np.asarray(col, dtype=float) for col in columns.values()]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in range(rows):
-            fh.write(",".join(_fmt(col[r]) for col in columns) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(arrays[0]), _CSV_BLOCK):
+            rows = zip(*(a[start:start + _CSV_BLOCK].tolist() for a in arrays))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    return path.name
 
 
-def write_summary(path: Path, fields: dict) -> None:
-    """Single-line structured record: space-separated key=value pairs."""
-    line = " ".join(f"{k}={v}" for k, v in fields.items())
+def write_summary(path: Path, fields: dict) -> str:
+    """Single-line structured record: space-separated key=value pairs, every float finite and round-trip."""
+    require_finite_outputs(path.name, {k: v for k, v in fields.items() if isinstance(v, float)})
+    line = " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in fields.items())
     path.write_text(line + "\n")
+    return path.name
 
 
 def write_manifest(
@@ -94,30 +104,24 @@ def cmd_simulate(args: argparse.Namespace, out: Path) -> list[str]:
     sc = args.scenario
     result = run_realization(sc, args.realization)
 
-    outputs = ["spacing_errors.csv", "summary.txt"]
-    header = ["time_s"] + [f"e{i + 1}_m" for i in range(sc.n_followers)]
-    cols = [result.times] + [result.spacing_errors[:, i] for i in range(sc.n_followers)]
-    write_csv(out / "spacing_errors.csv", header, cols)
-
-    if args.states:
-        outputs.append("states.csv")
-        sheader = ["time_s"]
-        scols = [result.times]
-        for i in range(sc.n_vehicles):
-            sheader += [f"x{i}_m", f"v{i}_mps", f"a{i}_mps2"]
-            scols += [result.states[:, i, 0], result.states[:, i, 1], result.states[:, i, 2]]
-        write_csv(out / "states.csv", sheader, scols)
-
+    errors = {f"e{i + 1}_m": result.spacing_errors[:, i] for i in range(sc.n_followers)}
     peaks = np.abs(result.spacing_errors).max(axis=0)
-    summary = {
-        "command": "simulate",
-        "realization": result.index,
-        "collided": int(result.collided),
-        "n_collision_events": len(result.collision_events),
-    }
-    for i, p in enumerate(peaks):
-        summary[f"peak_abs_e{i + 1}_m"] = _fmt(p)
-    write_summary(out / "summary.txt", summary)
+    outputs = [
+        write_csv(out / "spacing_errors.csv", {"time_s": result.times, **errors}),
+        write_summary(out / "summary.txt", {
+            "command": "simulate",
+            "realization": result.index,
+            "collided": int(result.collided),
+            "n_collision_events": len(result.collision_events),
+            **{f"peak_abs_e{i + 1}_m": p for i, p in enumerate(peaks)},
+        }),
+    ]
+    if args.states:
+        states = {"time_s": result.times}
+        for i in range(sc.n_vehicles):
+            for j, name in enumerate((f"x{i}_m", f"v{i}_mps", f"a{i}_mps2")):
+                states[name] = result.states[:, i, j]
+        outputs.append(write_csv(out / "states.csv", states))
     print(f"simulate: wrote {', '.join(outputs)} to {out}")
     return outputs
 
@@ -131,21 +135,14 @@ def cmd_headway(args: argparse.Namespace, out: Path) -> list[str]:
     else:
         gamma = args.gamma
     h_min = min_headway(args.tau, gamma, args.ka)
-    record = {
-        "command": "headway",
-        "tau_s": _fmt(args.tau),
-        "ka": _fmt(args.ka),
-        "gamma": _fmt(gamma),
-        "h_min_s": _fmt(h_min),
-    }
-    require_finite_outputs("headway.txt", {"h_min_s": h_min})
+    values = {"tau_s": args.tau, "ka": args.ka, "gamma": gamma, "h_min_s": h_min}
+    outputs = [write_summary(out / "headway.txt", {"command": "headway", **values})]
     if args.json:
-        print(json.dumps(record))
+        print(json.dumps({"command": "headway", **{k: _fmt(v) for k, v in values.items()}}))
     else:
         print(f"gamma = {gamma:.6g}")
         print(f"h_min = {h_min:.6g} s")
-    write_summary(out / "headway.txt", record)
-    return ["headway.txt"]
+    return outputs
 
 
 def cmd_stability(args: argparse.Namespace, out: Path) -> list[str]:
@@ -154,20 +151,21 @@ def cmd_stability(args: argparse.Namespace, out: Path) -> list[str]:
     report = is_string_stable(sc.controller, sc.params.tau, gamma)
     tf = cacc_error_tf(sc.controller, sc.params.tau, gamma)
     mags = freq_response_mag(tf, OMEGA_GRID)
-    write_csv(out / "freq_response.csv", ["omega_radps", "magnitude"], [OMEGA_GRID, mags])
-    summary = {
-        "command": "stability",
-        "stable": int(report.stable),
-        "hinf": _fmt(report.hinf),
-        "omega_peak_radps": _fmt(report.omega_peak),
-        "margin": _fmt(report.margin),
-        "h_min_s": _fmt(report.h_min),
-        "gamma": _fmt(gamma),
-    }
-    write_summary(out / "stability.txt", summary)
+    outputs = [
+        write_csv(out / "freq_response.csv", {"omega_radps": OMEGA_GRID, "magnitude": mags}),
+        write_summary(out / "stability.txt", {
+            "command": "stability",
+            "stable": int(report.stable),
+            "hinf": report.hinf,
+            "omega_peak_radps": report.omega_peak,
+            "margin": report.margin,
+            "h_min_s": report.h_min,
+            "gamma": gamma,
+        }),
+    ]
     print(f"stable={report.stable} hinf={report.hinf:.6f} "
           f"peak_omega={report.omega_peak:.4f} h_min={report.h_min:.4f}")
-    return ["freq_response.csv", "stability.txt"]
+    return outputs
 
 
 def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
@@ -180,7 +178,8 @@ def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
     sim_max = float(np.abs(result.spacing_errors).max())
 
     rep = uniform_error_bound(sys_, args.alpha_star, w0, sc.dt)
-    values = {
+    outputs = [write_summary(out / "bound.txt", {
+        "command": "bound",
         "alpha_star": args.alpha_star,
         "simulated_max_error_m": sim_max,
         "bound_sqrt_trace_m": rep.bound,
@@ -189,60 +188,50 @@ def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
         "gamma2": rep.gamma2,
         "eta": rep.eta,
         "w0_l2": rep.w0_l2,
-    }
-    require_finite_outputs("bound.txt", values)
-    summary = {"command": "bound", **{k: _fmt(v) for k, v in values.items()}}
-    write_summary(out / "bound.txt", summary)
+    })]
     print(f"bound(sqrt_trace)={rep.bound:.4f} m  simulated max |e|={sim_max:.4f} m")
-    return ["bound.txt"]
+    return outputs
 
 
 def cmd_montecarlo(args: argparse.Namespace, out: Path) -> list[str]:
     sc = args.scenario
     stats = run_safety_study(sc, mode=args.mode, realizations=args.realizations)
-    header = ["time_s"] + [f"var_e{i + 1}_m2" for i in range(sc.n_followers)]
-    cols = [stats.times] + [stats.variance_series[:, i] for i in range(sc.n_followers)]
-    write_csv(out / "variance_series.csv", header, cols)
-    summary = {
-        "command": "montecarlo",
-        "mode": args.mode or sc.controller.mode,
-        "realizations": stats.n_realizations,
-        "n_collided": stats.n_collided,
-        "p_collision": _fmt(stats.p_collision),
-        "mean_events_per_unstable": (
-            _fmt(stats.mean_events_per_unstable)
-            if stats.mean_events_per_unstable is not None else "none"
-        ),
-        "base_seed": sc.base_seed,
-    }
-    write_summary(out / "safety_stats.txt", summary)
-    print(f"mode={summary['mode']} p_collision={stats.p_collision:.4f} "
-          f"mean_events={summary['mean_events_per_unstable']}")
-    return ["variance_series.csv", "safety_stats.txt"]
+    variances = {f"var_e{i + 1}_m2": stats.variance_series[:, i] for i in range(sc.n_followers)}
+    events = stats.mean_events_per_unstable
+    mode = args.mode or sc.controller.mode
+    outputs = [
+        write_csv(out / "variance_series.csv", {"time_s": stats.times, **variances}),
+        write_summary(out / "safety_stats.txt", {
+            "command": "montecarlo",
+            "mode": mode,
+            "realizations": stats.n_realizations,
+            "n_collided": stats.n_collided,
+            "p_collision": stats.p_collision,
+            "mean_events_per_unstable": "none" if events is None else events,
+            "base_seed": sc.base_seed,
+        }),
+    ]
+    print(f"mode={mode} p_collision={stats.p_collision:.4f} "
+          f"mean_events={'none' if events is None else _fmt(events)}")
+    return outputs
 
 
 def cmd_validate_mean(args: argparse.Namespace, out: Path) -> list[str]:
     sc = args.scenario
     report = validate_mean_trajectory(sc, args.realizations)
-    require_finite_outputs("mean_validation.txt", {
-        "max_deviation": report.max_deviation,
-        "max_normalized": report.max_normalized,
-        "veh*_max_dev": report.per_vehicle_max_deviation,
-        "veh*_envelope": report.per_vehicle_envelope_at_max,
-    })
     summary = {
         "command": "validate-mean",
         "realizations": report.n_realizations,
-        "max_deviation": _fmt(report.max_deviation),
+        "max_deviation": report.max_deviation,
         "within_envelope": int(report.within_envelope),
-        "max_normalized": _fmt(report.max_normalized),
+        "max_normalized": report.max_normalized,
     }
     for i in range(sc.n_vehicles):
-        summary[f"veh{i}_max_dev"] = _fmt(report.per_vehicle_max_deviation[i])
-        summary[f"veh{i}_envelope"] = _fmt(report.per_vehicle_envelope_at_max[i])
-    write_summary(out / "mean_validation.txt", summary)
+        summary[f"veh{i}_max_dev"] = report.per_vehicle_max_deviation[i]
+        summary[f"veh{i}_envelope"] = report.per_vehicle_envelope_at_max[i]
+    outputs = [write_summary(out / "mean_validation.txt", summary)]
     print(f"max deviation={report.max_deviation:.3e} within 3-sigma envelope={report.within_envelope}")
-    return ["mean_validation.txt"]
+    return outputs
 
 
 COMMANDS = {
@@ -279,7 +268,7 @@ def _run(command: str, args: argparse.Namespace) -> int:
         base_seed = sc.base_seed
     out = Path(args.out) if args.out is not None else Path(os.environ.get(OUTDIR_ENV, "runs")) / command
     out.mkdir(parents=True, exist_ok=True)
-    # an overflow shows in the finished outputs, which the commands check
+    # an overflow shows in the finished outputs, which the writers check
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = COMMANDS[command](args, out)
     write_manifest(out, command, config, base_seed, outputs)
@@ -375,9 +364,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PlatoonKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -35,10 +35,6 @@ class NonHurwitzError(NumericalError):
     """Lyapunov equation has no unique PSD solution because A is not Hurwitz."""
 
 
-class InsufficientHorizonWarning(UserWarning):
-    """Impulse-response integral truncated before its tail decayed."""
-
-
 def require_finite(obj, names, error: type[PlatoonKitError]) -> None:
     """Raise error naming the first attribute of obj in names that is nan or infinite."""
     for name in names:

@@ -87,6 +87,7 @@ RECEPTION_TILE = 128       # channels per transposed tile, sized to stay in cach
 SUM_BLOCK = 16             # grid points per moment-sum reduction: wider rows reduce faster, same bits
 ENVELOPE_ATOL = 1e-9       # absorbs float accumulation noise on deterministic components
 FAMILY_ALPHA = 2.0 * float(ndtr(-3.0))   # two-sided 3-sigma level of the mean-trajectory test
+_INDEX_MAX = int(np.iinfo(np.intp).max)   # the largest count or index an array can hold
 
 
 @dataclass(frozen=True)
@@ -185,13 +186,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         require_finite(self, ("initial_speed", "dt", "duration", "standstill_gap"), ConfigError)
-        if self.n_followers < 1:
-            raise ConfigError("platoon.n_followers: must be >= 1")
+        if not 1 <= self.n_followers < _INDEX_MAX:
+            raise ConfigError(f"platoon.n_followers: must be in [1, {_INDEX_MAX - 1}], got {self.n_followers}")
         if not (self.duration > 0):
             raise ConfigError("sim.duration_s: must be positive")
         if not (self.dt > 0):
             raise ConfigError("sim.dt_s: must be positive")
-        if not self.duration / self.dt < np.iinfo(np.intp).max:
+        if not self.duration / self.dt < _INDEX_MAX:
             raise ConfigError("sim.dt_s: too small for sim.duration_s: more steps than an array can index")
         if self.n_steps < 1:
             raise ConfigError("sim.duration_s: shorter than one step")
@@ -199,8 +200,8 @@ class ScenarioConfig:
             raise ConfigError("platoon.initial_speed_mps: must be nonnegative")
         if self.standstill_gap < 0:
             raise ConfigError("platoon.standstill_gap_m: must be nonnegative")
-        if self.realizations < 1:
-            raise ConfigError("montecarlo.realizations: must be >= 1")
+        if not 1 <= self.realizations <= _INDEX_MAX:
+            raise ConfigError(f"montecarlo.realizations: must be in [1, {_INDEX_MAX}], got {self.realizations}")
         if self.base_seed < 0:
             raise ConfigError("montecarlo.base_seed: must be nonnegative")
 
@@ -702,9 +703,8 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
 
 def run_realization(sc: ScenarioConfig, realization_index: int) -> RealizationResult:
     """Simulate one seeded realization in full, state trajectories included."""
-    top = np.iinfo(np.intp).max
-    if not 0 <= realization_index <= top:
-        raise ConfigError(f"realization_index must be in [0, {top}], got {realization_index}")
+    if not 0 <= realization_index <= _INDEX_MAX:
+        raise ConfigError(f"realization_index must be in [0, {_INDEX_MAX}], got {realization_index}")
     return run_realizations(sc, [realization_index])[0]
 
 
@@ -747,8 +747,8 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     replaced by its expectation.  Requires fixed deceleration limits (the
     equivalence claim concerns channel randomness only).
     """
-    if n_realizations < 1:
-        raise ConfigError("n_realizations must be >= 1")
+    if not 1 <= n_realizations <= _INDEX_MAX:
+        raise ConfigError(f"n_realizations must be in [1, {_INDEX_MAX}], got {n_realizations}")
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
     M = sc.n_vehicles

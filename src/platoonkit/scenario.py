@@ -116,8 +116,9 @@ def _parse_segments(raw: str) -> LeaderProfile:
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Build a ScenarioConfig from scenario-file text."""
-    # ';' separates leader segments, so only '#' starts an inline comment
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # ';' separates leader segments, so only '#' starts an inline comment;
+    # a '%' is literal text, not an interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

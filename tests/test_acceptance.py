@@ -28,7 +28,6 @@ import pytest
 from platoonkit.channel import GilbertParams, gamma_analytic
 from platoonkit.cli import EXIT_OK, main
 from platoonkit.control import ControllerConfig, min_headway
-from platoonkit.errors import InsufficientHorizonWarning
 from platoonkit.montecarlo import (
     ChannelSpec,
     _receptions,
@@ -255,8 +254,6 @@ def test_criterion_7_bound_dominance(figure_gains):
 
 # ---------------------------------------------------------------- criterion 8
 def test_criterion_8_sandwich_inequality():
-    import warnings
-
     from conftest import random_stable_config
 
     rng = np.random.default_rng(23)
@@ -265,9 +262,7 @@ def test_criterion_8_sandwich_inequality():
         tf = cacc_error_tf(cfg, tau, gamma)
         h0 = freq_response_mag(tf, 0.0)
         peak = hinf_norm(tf).norm
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", InsufficientHorizonWarning)
-            l1 = impulse_l1(tf)
+        l1 = impulse_l1(tf)
         assert h0 <= peak * (1.0 + 1e-3)
         assert peak <= l1 * (1.0 + 1e-3)
     report(8, "sandwich inequality H(0) <= ||H||inf <= ||h||_1 (200 samples)")

@@ -1,3 +1,5 @@
+import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,14 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platoonkit
 from platoonkit import cli, montecarlo
 from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCES, build_parser, main
 from platoonkit.dynamics import LeaderSegment
-from platoonkit.errors import ConfigError
+from platoonkit.errors import ConfigError, NumericalError
 from platoonkit.scenario import (
+    _KNOWN_KEYS,
     config_hash,
     load_scenario,
     parse_scenario,
@@ -45,6 +51,80 @@ segments = 0 0; 5 -3 10
 dt_s = 0.01
 duration_s = 12
 """
+
+
+def edit(old: str, new: str) -> str:
+    """MINIMAL with one line replaced, or with new appended when old is empty."""
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new) if old else MINIMAL + new
+
+
+# Scenario inputs beyond the shipped files: each valid one parses, round-trips
+# through a manifest dict and reruns to the same bytes.
+VALID_VARIANTS = {
+    "iid channel": edit("model = ideal", "model = iid\ngamma = 0.6"),
+    "deterministic channel": edit("model = ideal", "model = deterministic\ngamma = 0.6"),
+    "gilbert channel": edit("model = ideal", "model = gilbert\np_gb = 0.3\np_bg = 0.1\nq = 0.2"),
+    "leader at its limit": edit("mode = segments\nsegments = 0 0; 5 -3 10", "mode = brake_at_limit"),
+    "point decel": edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 8\n"),
+    "uniform decel": edit("", "[montecarlo]\ndecel_dist = uniform\ndecel_low_mps2 = 6\ndecel_high_mps2 = 9\n"),
+    "truncnorm decel": edit("", "[montecarlo]\ndecel_dist = truncnorm\nrealizations = 7\nbase_seed = 3\n"),
+}
+
+# Each invalid one is a ConfigError naming its key, and exit 2 through main.
+INVALID_VARIANTS = {
+    "interpolated reference": (edit("ka = 0.4", "ka = %(kv)s"), "controller.ka"),
+    "trailing percent": (edit("ka = 0.4", "ka = 0.4%"), "controller.ka"),
+    "gilbert probability": (
+        edit("model = ideal", "model = gilbert\np_gb = 1.5\np_bg = 0.1\nq = 0.2"), "channel: p_gb"),
+    "channel model": (edit("model = ideal", "model = smoke"), "channel.model"),
+    "leader mode": (edit("mode = segments", "mode = teleport"), "leader.mode"),
+    "decel distribution": (edit("", "[montecarlo]\ndecel_dist = gamma\n"), "montecarlo.decel_dist"),
+    "lag": (edit("n_followers = 2", "n_followers = 2\ntau_s = 0"), "platoon: tau"),
+    "length": (edit("n_followers = 2", "n_followers = 2\nvehicle_length_m = 0"), "platoon: length"),
+    "decel limit": (edit("n_followers = 2", "n_followers = 2\ndecel_limit_mps2 = -1"), "platoon: decel_limit"),
+    "accel limit": (edit("n_followers = 2", "n_followers = 2\naccel_limit_mps2 = 0"), "platoon: accel_limit"),
+    "oversize string": (edit("n_followers = 2", "n_followers = 100000000000000000000"), "platoon.n_followers"),
+    "oversize study": (
+        edit("", "[montecarlo]\nrealizations = 100000000000000000000000\n"), "montecarlo.realizations"),
+}
+
+# Values for the parser fuzz: numbers, counts past any array, non-finite
+# spellings, interpolation syntax, the words the enum keys take, and junk.
+FUZZ_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 10).map(str),
+    st.integers(2**62, 10**30).map(str),
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e999"]),
+    st.sampled_from(["%(kv)s", "%(mode)s", "0.4%", "%", "%%", "1%%"]),
+    st.sampled_from(["acc", "cacc", "iid", "deterministic", "gilbert", "brake_at_limit",
+                     "point", "uniform", "truncnorm", "none", "0 0; 5 -3 10", "0 1 nan"]),
+    st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12),
+)
+KEYS = [(section, key) for section, keys in _KNOWN_KEYS.items() for key in sorted(keys)]
+
+
+def minimal_table() -> dict[str, dict[str, str]]:
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(MINIMAL)
+    return {name: dict(cp[name]) for name in cp.sections()}
+
+
+@st.composite
+def scenario_texts(draw) -> str:
+    """MINIMAL with a few keys set to fuzzed values and a few removed."""
+    table = minimal_table()
+    for section, key in draw(st.lists(st.sampled_from(KEYS), max_size=4)):
+        table.setdefault(section, {})[key] = draw(FUZZ_VALUES)
+    for section, key in draw(st.lists(st.sampled_from(KEYS), max_size=2)):
+        table.get(section, {}).pop(key, None)
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()) for name, values in table.items()
+    )
+
+
+def round_trip(sc):
+    return scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
 
 
 class TestParsing:
@@ -119,6 +199,50 @@ class TestParsing:
     def test_non_finite_segment_rejected(self):
         with pytest.raises(ConfigError, match="leader.segments"):
             parse_scenario(MINIMAL.replace("segments = 0 0; 5 -3 10", "segments = 0 0; 5 -3 nan"))
+
+    @pytest.mark.parametrize("text", VALID_VARIANTS.values(), ids=VALID_VARIANTS.keys())
+    def test_valid_variant_parses_round_trips_and_reruns(self, tmp_path, text):
+        sc = parse_scenario(text)
+        assert round_trip(sc) == sc
+        scn = tmp_path / "variant.scn"
+        scn.write_text(text)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["stability", str(scn), "--out", str(out1)]) == EXIT_OK
+        assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == EXIT_OK
+        files = sorted(p.name for p in out1.iterdir())
+        assert sorted(p.name for p in out2.iterdir()) == files
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    @pytest.mark.parametrize("text, key", INVALID_VARIANTS.values(), ids=INVALID_VARIANTS.keys())
+    def test_invalid_variant_names_its_key(self, tmp_path, capsys, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario(text)
+        scn = tmp_path / "variant.scn"
+        scn.write_text(text)
+        assert main(["stability", str(scn), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario_texts())
+    def test_any_text_parses_or_names_a_config_error(self, text):
+        try:
+            sc = parse_scenario(text)
+        except ConfigError:
+            return
+        assert round_trip(sc) == sc
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda d: d.pop("channel"), "malformed .*'channel'"),
+        (lambda d: d["params"].update(mass=1.0), "malformed .*mass"),
+    ])
+    def test_malformed_scenario_dict_is_config_error(self, change, named):
+        data = scenario_to_dict(parse_scenario(MINIMAL))
+        change(data)
+        with pytest.raises(ConfigError, match=named):
+            scenario_from_dict(data)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -226,12 +350,29 @@ class TestCli:
         # too large for the engine's index dtype
         (["simulate", str(SCENARIOS / "fig2.scn"), "--realization", "100000000000000000000000"],
          "realization_index"),
+        (["montecarlo", str(SCENARIOS / "safety.scn"), "--realizations", "100000000000000000000000"],
+         "montecarlo.realizations"),
+        (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "100000000000000000000000"],
+         "n_realizations"),
+        (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "0"], "n_realizations"),
+        (["headway", "--tau", "0.5", "--ka", "0.4"], "--gamma or --gilbert"),
+        (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5", "--gilbert", "0.3", "0.1", "0.2"],
+         "--gamma or --gilbert"),
     ])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv, name):
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "manifest.json").exists()
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and name in err
+        assert err.startswith("config error: ") and name in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "bound"])
+    def test_oversize_string_is_config_error(self, tmp_path, capsys, command):
+        scn = tmp_path / "huge.scn"
+        scn.write_text((SCENARIOS / "fig3.scn").read_text().replace(
+            "n_followers = 5", "n_followers = 100000000000000000000"))
+        assert main([command, str(scn), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: platoon.n_followers: ") and err.count("\n") == 1
 
     def test_headway_degenerate_chain_exit_code(self, tmp_path):
         code = main(["headway", "--tau", "0.5", "--ka", "0.4",
@@ -336,6 +477,18 @@ class TestCli:
             assert sorted(p.name for p in out2.iterdir()) == files
             for name in files:
                 assert file_hash(out1 / name) == file_hash(out2 / name), (argv, name)
+
+    def test_rerun_rejects_missing_manifest_and_unknown_command(self, tmp_path, capsys):
+        assert main(["rerun", str(tmp_path / "none" / "manifest.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: manifest not found: ")
+        out1 = tmp_path / "a"
+        assert main(["stability", str(SCENARIOS / "fig2.scn"), "--out", str(out1)]) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest["command"] = "teleport"  # the hash covers the config, not the command
+        (out1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: manifest: unknown command 'teleport'\n"
 
     def test_rerun_rejects_tampered_manifest(self, tmp_path):
         scn = self.write_minimal(tmp_path)
@@ -453,6 +606,31 @@ class TestCli:
         assert code == EXIT_NUMERICAL
         assert err.startswith(f"numerical error: {named} is not finite") and err.count("\n") == 1
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv, runner, field, output", [
+        (["stability", str(SCENARIOS / "fig2.scn")], "is_string_stable", "hinf", "stability.txt"),
+        (["montecarlo", "SHORT_SAFETY", "--realizations", "20"], "run_safety_study", "p_collision",
+         "safety_stats.txt"),
+    ])
+    def test_non_finite_summary_field_is_numerical_error(self, tmp_path, monkeypatch, capsys,
+                                                        argv, runner, field, output):
+        real = getattr(cli, runner)
+        monkeypatch.setattr(cli, runner, lambda *a, **k: dataclasses.replace(real(*a, **k), **{field: np.nan}))
+        argv = [str(short_safety(tmp_path, 2)) if a == "SHORT_SAFETY" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical error: {output}: {field} is not finite (nan or inf)\n"
+        assert not (tmp_path / "out" / output).exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_writers_format_and_name_what_they_write(self, tmp_path):
+        fields = {"command": "x", "count": 3, "f": np.float64(0.1), "tiny": 5e-324, "big": 1e300}
+        assert cli.write_summary(tmp_path / "s.txt", fields) == "s.txt"
+        assert (tmp_path / "s.txt").read_text() == "command=x count=3 f=0.1 tiny=5e-324 big=1e+300\n"
+        columns = {"t": np.array([0.0, 0.1 * 3]), "n": np.array([1, 2])}
+        assert cli.write_csv(tmp_path / "c.csv", columns) == "c.csv"
+        assert (tmp_path / "c.csv").read_text() == "t,n\n0.0,1.0\n0.30000000000000004,2.0\n"
+        with pytest.raises(NumericalError, match="c.csv: n is not finite"):
+            cli.write_csv(tmp_path / "c.csv", {"t": columns["t"], "n": np.array([1.0, np.inf])})
 
     @pytest.mark.parametrize("command", ["stability", "bound"])
     def test_failed_solve_is_numerical_error(self, tmp_path, command):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import scipy.linalg
 from conftest import random_stable_config
 from platoonkit.control import ControllerConfig, min_headway
 from platoonkit.errors import (
-    InsufficientHorizonWarning,
     InvalidInputError,
     NonHurwitzError,
     PoleOnAxisError,
@@ -264,10 +262,6 @@ class TestImpulseL1:
         tf = TransferFunction((1.0,), (2.0, 3.0, 1.0))
         assert impulse_l1(tf) == pytest.approx(0.5, abs=1e-4)
 
-    def test_short_horizon_warns(self):
-        with pytest.warns(InsufficientHorizonWarning):
-            impulse_l1(TransferFunction((1.0,), (1.0, 1.0)), horizon=1.0, dt=0.001)
-
     def test_unstable_rejected(self):
         with pytest.raises(UnstableLoopError):
             impulse_l1(TransferFunction((1.0,), (-1.0, 1.0)))
@@ -279,9 +273,7 @@ class TestImpulseL1:
             tf = cacc_error_tf(cfg, tau, gamma)
             h0 = freq_response_mag(tf, 0.0)
             hinf = hinf_norm(tf).norm
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", InsufficientHorizonWarning)
-                l1 = impulse_l1(tf)
+            l1 = impulse_l1(tf)
             assert h0 <= hinf * (1 + 1e-3)
             assert hinf <= l1 * (1 + 1e-3)
 

@@ -282,17 +282,16 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = RunManifest.load(path)
     if manifest.command not in COMMANDS:
         raise ConfigError(f"manifest: unknown command {manifest.command!r}")
+    # the config holds every destination of the command's parser but UNRECORDED, and no other key
+    parser = build_parser()._subparsers._group_actions[0].choices[manifest.command]
+    recorded = {action.dest for action in parser._actions} - {"help", *UNRECORDED}
+    for key in sorted(manifest.config.keys() ^ recorded):
+        problem = "unknown" if key in manifest.config else "missing"
+        raise ConfigError(f"manifest.config: malformed ({problem} key {key!r})")
     if not isinstance(manifest.config.get("scenario", {}), dict):
         raise ConfigError("manifest: config key 'scenario' must be a resolved scenario table")
     out = args.out if args.out is not None else str(path.parent)
-    return _run(manifest.command, _ManifestArgs(**{**manifest.config, "json": False, "out": out}))
-
-
-class _ManifestArgs(argparse.Namespace):
-    """A command's arguments read from a manifest config; a missing key is a ConfigError."""
-
-    def __getattr__(self, name: str):
-        raise ConfigError(f"manifest: config lacks key {name!r}")
+    return _run(manifest.command, argparse.Namespace(**manifest.config, json=False, out=out))
 
 
 def build_parser() -> argparse.ArgumentParser:

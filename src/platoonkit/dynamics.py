@@ -80,11 +80,19 @@ class LeaderSegment:
 
 @dataclass(frozen=True)
 class LeaderProfile:
-    """Ordered list of command segments; empty means u = 0 throughout."""
+    """The lead vehicle's maneuver: ordered command segments, or braking at its own limit.
+
+    A leader that brakes at its limit commands its braking command while it
+    moves and takes no segments.  No segments and no braking mean u = 0
+    throughout.
+    """
 
     segments: tuple[LeaderSegment, ...] = ()
+    brakes_at_limit: bool = False
 
     def __post_init__(self) -> None:
+        if self.brakes_at_limit and self.segments:
+            raise InvalidInputError("a leader that brakes at its limit takes no segments")
         times = [s.start_time for s in self.segments]
         if times and times[0] != 0.0:
             raise InvalidInputError("first leader segment must start at t = 0")
@@ -178,14 +186,22 @@ def step_vehicle(state: VehicleState, u: float, dt: float, params: VehicleParams
     return VehicleState(x_next, v_next, a_next)
 
 
-def leader_command(profile: LeaderProfile, t: float, v):
+def leader_command(profile: LeaderProfile, t: float, v, brake=None):
     """Commanded input of the lead vehicle at time t and velocity v (a float or an array).
 
-    The active segment is the last one starting at or before t.  Its command
+    A leader that brakes at its limit commands brake (minus its deceleration
+    limit, shaped like v) while v > 0, and 0 once stopped.  Otherwise the
+    active segment is the last one starting at or before t.  Its command
     reverts to 0 where v has reached the segment's target velocity in the
     direction of the command (velocity hold).  An empty profile commands 0.
     A float v gets a float; a velocity hold on an array v gives an array.
     """
+    if profile.brakes_at_limit:
+        if brake is None:
+            raise InvalidInputError("a leader that brakes at its limit needs its braking command")
+        if isinstance(v, np.ndarray):
+            return np.where(v > 0.0, brake, 0.0)
+        return brake if v > 0.0 else 0.0
     active = None
     for seg in profile.segments:
         if seg.start_time > t:

@@ -111,6 +111,8 @@ class ChannelSpec:
         elif self.kind == "gilbert":
             if self.gilbert is None:
                 raise ConfigError("channel.gilbert: parameters required for kind='gilbert'")
+            if self.gilbert.p_gb + self.gilbert.p_bg == 0.0:
+                raise ConfigError("channel.p_gb, channel.p_bg: both 0: the chain never changes state")
         elif self.kind != "ideal":
             raise ConfigError(f"channel.kind: unknown kind {self.kind!r}")
 
@@ -160,11 +162,6 @@ class DecelDistribution:
         b = ndtr((self.high - self.mean) / self.std)
         return self.mean + self.std * ndtri(a + rng.random(n) * (b - a))
 
-    def support(self) -> tuple[float, float]:
-        if self.kind == "point":
-            return self.value, self.value
-        return self.low, self.high
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -175,7 +172,6 @@ class ScenarioConfig:
     controller: ControllerConfig
     channel: ChannelSpec
     leader: LeaderProfile = LeaderProfile()
-    leader_brakes_at_limit: bool = False
     initial_speed: float = 25.0
     dt: float = 0.01
     duration: float = 40.0
@@ -423,10 +419,7 @@ def _simulate_batch(
     e_cur = record(0)
     u = np.empty((M, R))
     for k in range(T):
-        if sc.leader_brakes_at_limit:
-            u[0] = np.where(v[0] > 0.0, floor[0], 0.0)
-        else:
-            u[0] = leader_command(sc.leader, k * dt, v[0])
+        u[0] = leader_command(sc.leader, k * dt, v[0], floor[0])
 
         if recv is not None:
             # np.where(received, k_a * a, 0.0) bit for bit, without its branch per
@@ -544,10 +537,7 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
         if k == T:
             break
 
-        if sc.leader_brakes_at_limit:
-            u[0] = floor[0] if v[0] > 0.0 else 0.0
-        else:
-            u[0] = leader_command(sc.leader, k * dt, v[0])
+        u[0] = leader_command(sc.leader, k * dt, v[0], floor[0])
         got = next(recv).ravel().tolist() if recv is not None else None
         for i in followers:
             if got is not None:

@@ -13,9 +13,9 @@ Example:
     ...
 
 Parsing is strict: unknown keys, missing keys and malformed values raise
-ConfigError naming the offending `section.key`.  A scenario round-trips
-through a plain dict for manifests, and the dict's canonical JSON hash
-identifies the resolved configuration in each `RunManifest`.
+ConfigError naming the offending `section.key`.  A manifest holds a scenario
+as its dataclasses' fields, read back just as strictly, and the dict's
+canonical JSON hash identifies the resolved configuration in each `RunManifest`.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from . import __version__
 from .channel import GilbertParams
@@ -105,9 +106,7 @@ def _parse_segments(raw: str) -> LeaderProfile:
             raise ConfigError(f"leader.segments: malformed segment {part!r}") from None
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"leader.segments: non-finite value in segment {part!r}")
-        start, u = values[:2]
-        target = values[2] if len(values) == 3 else None
-        segments.append(LeaderSegment(start, u, target))
+        segments.append(LeaderSegment(*values))
     try:
         return LeaderProfile(tuple(segments))
     except InvalidInputError as exc:
@@ -122,7 +121,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"scenario file: {exc}") from None
+        # configparser's first line; the rest quotes the offending input
+        raise ConfigError(f"scenario file: {str(exc).splitlines()[0]}") from None
 
     for section in cp.sections():
         if section not in _KNOWN_KEYS:
@@ -131,15 +131,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
-    def section(name: str) -> _Section:
-        return _Section(name, dict(cp[name]) if cp.has_section(name) else {})
-
-    pl = section("platoon")
-    ct = section("controller")
-    ch = section("channel")
-    ld = section("leader")
-    sim = section("sim")
-    mc = section("montecarlo")
+    pl, ct, ch, ld, sim, mc = (
+        _Section(name, dict(cp[name]) if cp.has_section(name) else {})
+        for name in ("platoon", "controller", "channel", "leader", "sim", "montecarlo")
+    )
 
     try:
         params = VehicleParams(
@@ -182,10 +177,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     leader_mode = ld.get("mode", "segments").lower()
     if leader_mode == "segments":
         leader = _parse_segments(ld.get("segments", ""))
-        brakes_at_limit = False
     elif leader_mode == "brake_at_limit":
-        leader = LeaderProfile()
-        brakes_at_limit = True
+        leader = LeaderProfile(brakes_at_limit=True)
     else:
         raise ConfigError(f"leader.mode: unknown mode {leader_mode!r}")
 
@@ -215,7 +208,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
         controller=controller,
         channel=channel,
         leader=leader,
-        leader_brakes_at_limit=brakes_at_limit,
         initial_speed=pl.get_float("initial_speed_mps"),
         dt=sim.get_float("dt_s", "0.01"),
         duration=sim.get_float("duration_s"),
@@ -234,86 +226,80 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return parse_scenario(p.read_text())
 
 
-def scenario_to_dict(sc: ScenarioConfig) -> dict[str, Any]:
-    """Plain-JSON representation for manifests; round-trips via scenario_from_dict."""
-    out: dict[str, Any] = {
-        "n_followers": sc.n_followers,
-        "params": {
-            "tau": sc.params.tau,
-            "length": sc.params.length,
-            "decel_limit": sc.params.decel_limit,
-            "accel_limit": sc.params.accel_limit,
-        },
-        "controller": {
-            "k_a": sc.controller.k_a,
-            "k_v": sc.controller.k_v,
-            "k_p": sc.controller.k_p,
-            "h_w": sc.controller.h_w,
-            "mode": sc.controller.mode,
-        },
-        "channel": {"kind": sc.channel.kind},
-        "leader": {
-            "brakes_at_limit": sc.leader_brakes_at_limit,
-            "segments": [
-                [s.start_time, s.u] + ([s.target_velocity] if s.target_velocity is not None else [])
-                for s in sc.leader.segments
-            ],
-        },
-        "initial_speed": sc.initial_speed,
-        "dt": sc.dt,
-        "duration": sc.duration,
-        "standstill_gap": sc.standstill_gap,
-        "realizations": sc.realizations,
-        "base_seed": sc.base_seed,
-    }
-    if sc.channel.gamma is not None:
-        out["channel"]["gamma"] = sc.channel.gamma
-    if sc.channel.gilbert is not None:
-        gp = sc.channel.gilbert
-        out["channel"]["gilbert"] = {"p_gb": gp.p_gb, "p_bg": gp.p_bg, "q": gp.q}
-    if sc.decel_dist is not None:
-        dd = sc.decel_dist
-        out["decel_dist"] = {
-            "kind": dd.kind, "mean": dd.mean, "std": dd.std,
-            "low": dd.low, "high": dd.high, "value": dd.value,
-        }
-    return out
+def scenario_to_dict(sc: ScenarioConfig) -> dict[str, typing.Any]:
+    """The scenario's dataclass fields as plain JSON for manifests, read back by scenario_from_dict.
+
+    A None is left out, and a leader segment is the list [start, u] or [start, u, target].
+    """
+    def written(value):
+        if isinstance(value, dict):
+            return {k: written(v) for k, v in value.items() if v is not None}
+        if isinstance(value, tuple):   # the leader's segments
+            return [list(written(seg).values()) for seg in value]
+        return value
+
+    return written(dataclasses.asdict(sc))
 
 
-def scenario_from_dict(data: dict[str, Any]) -> ScenarioConfig:
-    """Inverse of scenario_to_dict."""
+def _build(cls, table, where: str):
+    """Dataclass cls from its manifest table, which where names in messages.
+
+    The table holds every field but one that defaults to None, which the
+    writer leaves out, and no other key.  A violation is a ConfigError
+    naming the table and the key.
+    """
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where}: malformed (expected a table, got {type(table).__name__})")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(table.keys() - hints.keys(), key=str)
+    if unknown:
+        raise ConfigError(f"{where}: malformed (unknown key {unknown[0]!r})")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in table:
+            kwargs[f.name] = _read(hints[f.name], table[f.name], where, f.name, null_written=f.default is not None)
+        elif f.default is not None:
+            raise ConfigError(f"{where}: malformed (missing key {f.name!r})")
     try:
-        ch = data["channel"]
-        gilbert = None
-        if "gilbert" in ch:
-            gilbert = GilbertParams(**ch["gilbert"])
-        channel = ChannelSpec(kind=ch["kind"], gamma=ch.get("gamma"), gilbert=gilbert)
-        segments = tuple(
-            LeaderSegment(s[0], s[1], s[2] if len(s) > 2 else None) for s in data["leader"]["segments"]
-        )
-        decel_dist = DecelDistribution(**data["decel_dist"]) if "decel_dist" in data else None
-        return ScenarioConfig(
-            n_followers=data["n_followers"],
-            params=VehicleParams(**data["params"]),
-            controller=ControllerConfig(**data["controller"]),
-            channel=channel,
-            leader=LeaderProfile(segments),
-            leader_brakes_at_limit=data["leader"]["brakes_at_limit"],
-            initial_speed=data["initial_speed"],
-            dt=data["dt"],
-            duration=data["duration"],
-            standstill_gap=data["standstill_gap"],
-            decel_dist=decel_dist,
-            realizations=data["realizations"],
-            base_seed=data["base_seed"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"manifest config: malformed ({exc})") from None
+        return cls(**kwargs)
     except InvalidInputError as exc:
-        raise ConfigError(f"manifest config: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def config_hash(data: dict[str, Any]) -> str:
+def _read(hint, value, where: str, key: str, null_written: bool = False):
+    """Field key of table where from its manifest value, checked against the field's type hint."""
+    args = typing.get_args(hint)
+    if type(None) in args:   # X | None: null only where the writer writes None
+        if value is None and null_written:
+            return None
+        (hint,) = set(args) - {type(None)}
+        args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, f"{where}.{key}")
+    origin = typing.get_origin(hint) or hint
+    kind = {typing.Literal: str, tuple: list}.get(origin, origin)
+    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if kind is float and type(value) is int:   # an int is a number too, unless it overflows a float
+        ok = abs(value) <= sys.float_info.max
+    if not ok:
+        words = {bool: "a bool", int: "an integer", float: "a number", str: "a string", dict: "a table", list: "a list"}
+        raise ConfigError(f"{where}: malformed ({key} must be {words[kind]}, got {type(value).__name__})")
+    if origin is tuple:   # the leader's segments, each the list of its fields but a None target
+        names = [f.name for f in dataclasses.fields(args[0])]
+        if not all(isinstance(row, list) and 2 <= len(row) <= len(names) for row in value):
+            raise ConfigError(f"{where}: malformed ({key} must be a list of [start, u] or [start, u, target])")
+        return tuple(_build(args[0], dict(zip(names, row)), f"{where}.{key}[{i}]") for i, row in enumerate(value))
+    if origin is list:
+        return [_read(args[0], v, where, f"{key}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def scenario_from_dict(data: dict[str, typing.Any]) -> ScenarioConfig:
+    """Inverse of scenario_to_dict."""
+    return _build(ScenarioConfig, data, "manifest.config.scenario")
+
+
+def config_hash(data: dict[str, typing.Any]) -> str:
     """SHA-256 of the canonical JSON form of a resolved configuration."""
     canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -343,18 +329,9 @@ class RunManifest:
     def load(cls, path: Path) -> "RunManifest":
         try:
             data = json.loads(path.read_text())
-            manifest = cls(
-                command=data["command"],
-                config=data["config"],
-                base_seed=data.get("base_seed"),
-                version=data.get("version", ""),
-                config_sha256="",
-                outputs=list(data.get("outputs", [])),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"manifest: malformed ({exc})") from None
-        if not isinstance(manifest.config, dict):
-            raise ConfigError("manifest: config must be a table of the command's arguments")
-        if data.get("config_sha256") != manifest.config_sha256:
+        manifest = _build(cls, data, "manifest")
+        if data["config_sha256"] != config_hash(manifest.config):
             raise ConfigError("manifest: config hash mismatch")
         return manifest

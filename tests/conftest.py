@@ -76,7 +76,7 @@ def reference_platoon_sim(scenario, receptions=None, wfactor=None, decel_limits=
     for k in range(sc.n_steps):
         t = k * sc.dt
         prev = states[-1]
-        if sc.leader_brakes_at_limit:
+        if sc.leader.brakes_at_limit:
             u0 = -params[0].decel_limit if prev[0].v > 0.0 else 0.0
         else:
             u0 = leader_input(sc.leader, prev[0], t)

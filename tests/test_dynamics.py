@@ -170,6 +170,19 @@ class TestLeaderInput:
         assert leader_input(prof, VehicleState(0, 18.0, 1.0), 1.0) == 2.0
         assert leader_input(prof, VehicleState(0, 20.5, 1.0), 5.0) == 0.0
 
+    def test_brake_at_limit_commands_the_braking_command_while_moving(self):
+        prof = LeaderProfile(brakes_at_limit=True)
+        assert leader_command(prof, 3.0, 12.0, -7.5) == -7.5
+        assert leader_command(prof, 3.0, 0.0, -7.5) == 0.0
+        u = leader_command(prof, 3.0, np.array([12.0, 0.0, 1.0]), np.array([-7.5, -8.0, -9.0]))
+        assert isinstance(u, np.ndarray) and u.tolist() == [-7.5, 0.0, -9.0]
+        with pytest.raises(InvalidInputError, match="braking command"):
+            leader_input(prof, VehicleState(0, 10.0, 0), 1.0)
+
+    def test_brake_at_limit_takes_no_segments(self):
+        with pytest.raises(InvalidInputError, match="takes no segments"):
+            LeaderProfile((LeaderSegment(0.0, -9.0, 0.0),), brakes_at_limit=True)
+
     def test_segment_order_validation(self):
         with pytest.raises(InvalidInputError):
             LeaderProfile((LeaderSegment(1.0, 0.0),))

@@ -98,7 +98,7 @@ class TestDecelSampling:
         dist = DecelDistribution(kind="truncnorm", mean=7.5, std=1.0, low=4.5, high=9.5)
         rng = np.random.default_rng(2)
         draws = dist.sample(50_000, rng)
-        lo, hi = dist.support()
+        lo, hi = dist.low, dist.high
         assert draws.min() >= lo and draws.max() <= hi
         # analytic truncated-normal mean (the -3/+2 sigma window is asymmetric)
         from scipy.stats import norm
@@ -208,8 +208,7 @@ class TestEngineCore:
             n_followers=5,
             params=VehicleParams(tau=0.5, length=5.0, decel_limit=9.0, accel_limit=3.0),
             controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0),
-            leader=LeaderProfile(),
-            leader_brakes_at_limit=True,
+            leader=LeaderProfile(brakes_at_limit=True),
             decel_dist=DecelDistribution(kind="point", value=9.0),
             initial_speed=30.0,
             duration=20.0,
@@ -317,8 +316,7 @@ class TestCollisions:
         return small_scenario(
             n_followers=1,
             params=VehicleParams(tau=0.5, length=5.0, decel_limit=2.0, accel_limit=3.0),
-            leader=LeaderProfile((LeaderSegment(0.0, -9.0, 0.0),)),
-            leader_brakes_at_limit=True,
+            leader=LeaderProfile(brakes_at_limit=True),
             decel_dist=DecelDistribution(kind="point", value=9.0),
             initial_speed=30.0,
             duration=12.0,
@@ -368,8 +366,7 @@ class TestCollisions:
 def crash_study(**overrides) -> ScenarioConfig:
     """40 heterogeneous-braking runs of which 11 collide, with one or two events each."""
     base = dict(
-        leader_brakes_at_limit=True,
-        leader=LeaderProfile(),
+        leader=LeaderProfile(brakes_at_limit=True),
         initial_speed=30.0,
         duration=10.0,
         controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0),
@@ -425,7 +422,7 @@ def small_runs(draw):
     )
     brakes_at_limit = draw(st.booleans())
     if brakes_at_limit:
-        leader = LeaderProfile()
+        leader = LeaderProfile(brakes_at_limit=True)
     else:
         target = st.none() | st.floats(0.0, 30.0)
         segments = [LeaderSegment(0.0, draw(st.floats(-9.0, 3.0)), draw(target))]
@@ -442,7 +439,6 @@ def small_runs(draw):
                                     mode=draw(st.sampled_from(["acc", "cacc"]))),
         channel=channel,
         leader=leader,
-        leader_brakes_at_limit=brakes_at_limit,
         # short headways and gaps at speed collide; slow strings stop
         initial_speed=draw(st.floats(0.0, 35.0)),
         dt=0.01,
@@ -492,8 +488,7 @@ class TestSafetyStudy:
 
     def test_mode_override_changes_law_not_draws(self):
         sc = small_scenario(
-            leader_brakes_at_limit=True,
-            leader=LeaderProfile(),
+            leader=LeaderProfile(brakes_at_limit=True),
             initial_speed=30.0,
             duration=10.0,
             controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0),

@@ -87,6 +87,24 @@ INVALID_VARIANTS = {
     "oversize string": (edit("n_followers = 2", "n_followers = 100000000000000000000"), "platoon.n_followers"),
     "oversize study": (
         edit("", "[montecarlo]\nrealizations = 100000000000000000000000\n"), "montecarlo.realizations"),
+    "link that never changes state": (
+        edit("model = ideal", "model = gilbert\np_gb = 0\np_bg = 0\nq = 0.2"), "channel.p_gb, channel.p_bg"),
+    "link that never changes state, acc": (
+        edit("model = ideal", "model = gilbert\np_gb = 0\np_bg = 0\nq = 0.2").replace("mode = cacc", "mode = acc"),
+        "channel.p_gb, channel.p_bg"),
+    "no section header": ("n_followers = 2\n" + MINIMAL, "scenario file: File contains no section headers."),
+    "duplicate key": (edit("kv = 1.0", "kv = 1.0\nkv = 1.0"), "scenario file: "),
+    "segment word": (edit("segments = 0 0; 5 -3 10", "segments = 0 x"), "leader.segments: malformed segment"),
+    "late first segment": (
+        edit("segments = 0 0; 5 -3 10", "segments = 5 0; 0 1"),
+        "leader.segments: first leader segment must start at t = 0"),
+    "unknown section": (edit("", "[extra]\nkey = 1\n"), "extra: unknown section"),
+    "iid probability": (edit("model = ideal", "model = iid\ngamma = 1.5"), "channel.gamma"),
+    "zero step": (edit("dt_s = 0.01", "dt_s = 0"), "sim.dt_s"),
+    "unindexable step": (edit("dt_s = 0.01", "dt_s = 1e-300"), "sim.dt_s"),
+    "negative gap": (edit("n_followers = 2", "n_followers = 2\nstandstill_gap_m = -1"), "platoon.standstill_gap_m"),
+    "zero point decel": (edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 0\n"), "decel_dist.value"),
+    "zero decel spread": (edit("", "[montecarlo]\ndecel_dist = truncnorm\ndecel_std_mps2 = 0\n"), "decel_dist.std"),
 }
 
 # Values for the parser fuzz: numbers, counts past any array, non-finite
@@ -142,7 +160,7 @@ class TestParsing:
 
     def test_safety_values(self):
         sc = load_scenario(SCENARIOS / "safety.scn")
-        assert sc.leader_brakes_at_limit
+        assert sc.leader.brakes_at_limit
         assert sc.decel_dist.kind == "truncnorm"
         assert sc.controller.k_p == 2.0
         assert sc.realizations == 10000
@@ -539,6 +557,64 @@ class TestCli:
         capsys.readouterr()
         assert main(["rerun", str(out1 / "manifest.json"), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    def test_rerun_names_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("{not json")
+        assert main(["rerun", str(path), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: manifest: malformed (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", str(SCENARIOS / "fig3.scn"), "--states"],
+        ["montecarlo", str(SCENARIOS / "safety.scn"), "--mode", "acc", "--realizations", "4"],
+    ], ids=["fig3", "safety"])
+    def test_rerun_rejects_every_edit_of_the_manifest_tables(self, tmp_path, capsys, argv):
+        """Each key removed or added at any depth, a malformed segment list and a string flag:
+        exit 2 with one line naming the key, and no manifest written."""
+        out1 = tmp_path / "a"
+        assert main(argv + ["--out", str(out1)]) == EXIT_OK
+        original = json.loads((out1 / "manifest.json").read_text())
+
+        def tables(node, path=()):
+            if isinstance(node, dict):
+                yield path, node
+                for key, value in node.items():
+                    yield from tables(value, path + (key,))
+
+        def edited(path, change):
+            manifest = json.loads(json.dumps(original))
+            table = manifest
+            for key in path:
+                table = table[key]
+            change(table)
+            if "config" in manifest and "config_sha256" in manifest:
+                manifest["config_sha256"] = config_hash(manifest["config"])
+            return manifest
+
+        edits = []
+        for path, table in tables(original):
+            # an absent optional table reads as its None: a scenario without a
+            # decel distribution, which the format cannot tell from a removed one
+            edits += [(edited(path, lambda t, k=key: t.pop(k)), key) for key in table
+                      if path + (key,) != ("config", "scenario", "decel_dist")]
+            edits.append((edited(path, lambda t: t.update(stray=1)), "stray"))
+        leader = ("config", "scenario", "leader")
+        edits += [
+            (edited(leader, lambda t: t.update(segments="junk")), "segments"),
+            (edited(leader, lambda t: t.update(segments=[[0.0]])), "segments"),
+            (edited(leader, lambda t: t.update(brakes_at_limit="false")), "brakes_at_limit"),
+        ]
+        assert len(edits) > 40
+        for n, (manifest, key) in enumerate(edits):
+            path, out = tmp_path / f"m{n}.json", tmp_path / f"out{n}"
+            path.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert main(["rerun", str(path), "--out", str(out)]) == EXIT_CONFIG, key
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert f"'{key}'" in err or f".{key}" in err or f"{key} must be" in err, (key, err)
+            assert not (out / "manifest.json").exists()
 
     def test_dead_worker_and_memory_error_exit_resources(self, tmp_path, monkeypatch, capsys):
         scn = short_safety(tmp_path, 2)

@@ -1,29 +1,33 @@
 """Command-line front end: scenario parsing, experiment orchestration, emission.
 
-Every command runs through `_run`, which writes a run manifest (command,
-config, seed, version, config hash, outputs) next to its outputs.  The config
-is the parsed arguments minus `command`, `seed`, `out` and `json`, with the
-scenario path replaced by the resolved scenario dict (so `--seed` lands in its
-`base_seed`); `rerun` passes that config back through `_run` and reproduces
-the outputs byte for byte.  CSVs are shaped for direct plotting and carry no
-volatile fields.  Commands hand raw values to `write_csv` and `write_summary`,
-which write every float round-trip, refuse a non-finite one naming its file
-and key, and return the file name for the manifest's outputs.  Exit codes:
-0 success, 2 configuration error or bad flag value, 3 numerical error (a
-failed solve or a non-finite result), 4 I/O error, 5 out of memory or a
-worker process died.
+Each command is a function of typed keyword arguments: its output directory
+`out`, then the parsed flags, with the scenario loaded and `--seed` applied to
+its `base_seed`.  Every command runs through `_run`, which calls it and writes
+a run manifest (command, config, version, config hash, outputs) next to its
+outputs.  The config is every argument but `out`, the scenario as every field
+of its dataclasses and a None as null.  `rerun` reads that config back against
+the command's signature and type hints with the builder that reads the
+scenario, so a missing, unknown or wrongly typed key (a manifest of an older
+format among them) is a config error naming it, and passes it through `_run`
+to reproduce the outputs byte for byte.  CSVs are shaped for direct plotting
+and carry no volatile fields.  Commands hand raw values to `write_csv` and
+`write_summary`, which write every float round-trip, refuse a non-finite one
+naming its file and key, and return the file name for the manifest's outputs.
+Exit codes: 0 success, 2 configuration error or bad flag value, 3 numerical
+error (a failed solve or a non-finite result), 4 I/O error, 5 out of memory or
+a worker process died.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from json import dumps as to_json
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -32,12 +36,13 @@ from .channel import GilbertParams, gamma_analytic
 from .control import min_headway
 from .errors import ConfigError, InvalidInputError, NumericalError
 from .montecarlo import (
+    ScenarioConfig,
     deterministic_equivalent,
     run_realization,
     run_safety_study,
     validate_mean_trajectory,
 )
-from .scenario import RunManifest, load_scenario, scenario_from_dict, scenario_to_dict
+from .scenario import RunManifest, load_scenario, read_arguments
 from .stability import (
     OMEGA_GRID,
     build_error_system,
@@ -94,17 +99,14 @@ def write_summary(path: Path, fields: dict) -> str:
     return path.name
 
 
-def write_manifest(
-    out: Path, command: str, config: dict, base_seed: int | None, outputs: list[str]
-) -> Path:
-    return RunManifest(command, config, base_seed, outputs=outputs).write(out)
+def write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> Path:
+    return RunManifest(command, config, outputs=outputs).write(out)
 
 
-def cmd_simulate(args: argparse.Namespace, out: Path) -> list[str]:
-    sc = args.scenario
-    result = run_realization(sc, args.realization)
+def cmd_simulate(out: Path, scenario: ScenarioConfig, realization: int, states: bool) -> list[str]:
+    result = run_realization(scenario, realization)
 
-    errors = {f"e{i + 1}_m": result.spacing_errors[:, i] for i in range(sc.n_followers)}
+    errors = {f"e{i + 1}_m": result.spacing_errors[:, i] for i in range(scenario.n_followers)}
     peaks = np.abs(result.spacing_errors).max(axis=0)
     outputs = [
         write_csv(out / "spacing_errors.csv", {"time_s": result.times, **errors}),
@@ -116,40 +118,38 @@ def cmd_simulate(args: argparse.Namespace, out: Path) -> list[str]:
             **{f"peak_abs_e{i + 1}_m": p for i, p in enumerate(peaks)},
         }),
     ]
-    if args.states:
-        states = {"time_s": result.times}
-        for i in range(sc.n_vehicles):
+    if states:
+        columns = {"time_s": result.times}
+        for i in range(scenario.n_vehicles):
             for j, name in enumerate((f"x{i}_m", f"v{i}_mps", f"a{i}_mps2")):
-                states[name] = result.states[:, i, j]
-        outputs.append(write_csv(out / "states.csv", states))
+                columns[name] = result.states[:, i, j]
+        outputs.append(write_csv(out / "states.csv", columns))
     print(f"simulate: wrote {', '.join(outputs)} to {out}")
     return outputs
 
 
-def cmd_headway(args: argparse.Namespace, out: Path) -> list[str]:
-    if (args.gamma is None) == (args.gilbert is None):
+def cmd_headway(out: Path, tau: float, ka: float, gamma: float | None,
+                gilbert: tuple[float, float, float] | None, json: bool) -> list[str]:
+    if (gamma is None) == (gilbert is None):
         raise ConfigError("headway: give exactly one of --gamma or --gilbert P Q q")
-    if args.gilbert is not None:
-        p, q_, qq = args.gilbert
+    if gilbert is not None:
+        p, q_, qq = gilbert
         gamma = gamma_analytic(GilbertParams(p_gb=p, p_bg=q_, q=qq))
-    else:
-        gamma = args.gamma
-    h_min = min_headway(args.tau, gamma, args.ka)
-    values = {"tau_s": args.tau, "ka": args.ka, "gamma": gamma, "h_min_s": h_min}
+    h_min = min_headway(tau, gamma, ka)
+    values = {"tau_s": tau, "ka": ka, "gamma": gamma, "h_min_s": h_min}
     outputs = [write_summary(out / "headway.txt", {"command": "headway", **values})]
-    if args.json:
-        print(json.dumps({"command": "headway", **{k: _fmt(v) for k, v in values.items()}}))
+    if json:
+        print(to_json({"command": "headway", **{k: _fmt(v) for k, v in values.items()}}))
     else:
         print(f"gamma = {gamma:.6g}")
         print(f"h_min = {h_min:.6g} s")
     return outputs
 
 
-def cmd_stability(args: argparse.Namespace, out: Path) -> list[str]:
-    sc = args.scenario
-    gamma = sc.channel.effective_gamma()
-    report = is_string_stable(sc.controller, sc.params.tau, gamma)
-    tf = cacc_error_tf(sc.controller, sc.params.tau, gamma)
+def cmd_stability(out: Path, scenario: ScenarioConfig) -> list[str]:
+    gamma = scenario.channel.effective_gamma()
+    report = is_string_stable(scenario.controller, scenario.params.tau, gamma)
+    tf = cacc_error_tf(scenario.controller, scenario.params.tau, gamma)
     mags = freq_response_mag(tf, OMEGA_GRID)
     outputs = [
         write_csv(out / "freq_response.csv", {"omega_radps": OMEGA_GRID, "magnitude": mags}),
@@ -168,19 +168,18 @@ def cmd_stability(args: argparse.Namespace, out: Path) -> list[str]:
     return outputs
 
 
-def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
-    sc = args.scenario
-    gamma = sc.channel.effective_gamma()
-    sys_ = build_error_system(sc.controller, sc.params.tau, gamma)
+def cmd_bound(out: Path, scenario: ScenarioConfig, alpha_star: float) -> list[str]:
+    gamma = scenario.channel.effective_gamma()
+    sys_ = build_error_system(scenario.controller, scenario.params.tau, gamma)
 
-    result = run_realization(deterministic_equivalent(sc), 0)
+    result = run_realization(deterministic_equivalent(scenario), 0)
     w0 = result.states[:, 0, 2]  # realized lead-vehicle acceleration
     sim_max = float(np.abs(result.spacing_errors).max())
 
-    rep = uniform_error_bound(sys_, args.alpha_star, w0, sc.dt)
+    rep = uniform_error_bound(sys_, alpha_star, w0, scenario.dt)
     outputs = [write_summary(out / "bound.txt", {
         "command": "bound",
-        "alpha_star": args.alpha_star,
+        "alpha_star": alpha_star,
         "simulated_max_error_m": sim_max,
         "bound_sqrt_trace_m": rep.bound,
         "j_star_sqrt_trace": rep.j_star,
@@ -193,12 +192,13 @@ def cmd_bound(args: argparse.Namespace, out: Path) -> list[str]:
     return outputs
 
 
-def cmd_montecarlo(args: argparse.Namespace, out: Path) -> list[str]:
-    sc = args.scenario
-    stats = run_safety_study(sc, mode=args.mode, realizations=args.realizations)
-    variances = {f"var_e{i + 1}_m2": stats.variance_series[:, i] for i in range(sc.n_followers)}
+def cmd_montecarlo(
+    out: Path, scenario: ScenarioConfig, mode: Literal["acc", "cacc"] | None, realizations: int | None
+) -> list[str]:
+    stats = run_safety_study(scenario, mode=mode, realizations=realizations)
+    variances = {f"var_e{i + 1}_m2": stats.variance_series[:, i] for i in range(scenario.n_followers)}
     events = stats.mean_events_per_unstable
-    mode = args.mode or sc.controller.mode
+    mode = mode or scenario.controller.mode
     outputs = [
         write_csv(out / "variance_series.csv", {"time_s": stats.times, **variances}),
         write_summary(out / "safety_stats.txt", {
@@ -208,7 +208,7 @@ def cmd_montecarlo(args: argparse.Namespace, out: Path) -> list[str]:
             "n_collided": stats.n_collided,
             "p_collision": stats.p_collision,
             "mean_events_per_unstable": "none" if events is None else events,
-            "base_seed": sc.base_seed,
+            "base_seed": scenario.base_seed,
         }),
     ]
     print(f"mode={mode} p_collision={stats.p_collision:.4f} "
@@ -216,9 +216,8 @@ def cmd_montecarlo(args: argparse.Namespace, out: Path) -> list[str]:
     return outputs
 
 
-def cmd_validate_mean(args: argparse.Namespace, out: Path) -> list[str]:
-    sc = args.scenario
-    report = validate_mean_trajectory(sc, args.realizations)
+def cmd_validate_mean(out: Path, scenario: ScenarioConfig, realizations: int) -> list[str]:
+    report = validate_mean_trajectory(scenario, realizations)
     summary = {
         "command": "validate-mean",
         "realizations": report.n_realizations,
@@ -226,7 +225,7 @@ def cmd_validate_mean(args: argparse.Namespace, out: Path) -> list[str]:
         "within_envelope": int(report.within_envelope),
         "max_normalized": report.max_normalized,
     }
-    for i in range(sc.n_vehicles):
+    for i in range(scenario.n_vehicles):
         summary[f"veh{i}_max_dev"] = report.per_vehicle_max_deviation[i]
         summary[f"veh{i}_envelope"] = report.per_vehicle_envelope_at_max[i]
     outputs = [write_summary(out / "mean_validation.txt", summary)]
@@ -243,55 +242,27 @@ COMMANDS = {
     "validate-mean": cmd_validate_mean,
 }
 
-# Parsed arguments that select or present a run but are not part of its
-# config: --seed is recorded as the scenario's base_seed instead.
-UNRECORDED = ("command", "seed", "out", "json")
 
-
-def _run(command: str, args: argparse.Namespace) -> int:
-    """Run one command: resolve its scenario and output directory, call it, record its manifest.
-
-    The manifest config is the parsed arguments minus UNRECORDED, with the
-    scenario replaced by its resolved dict; rerun hands the same config back.
-    """
-    config = {k: v for k, v in vars(args).items() if k not in UNRECORDED}
-    base_seed = None
-    if "scenario" in config:
-        if isinstance(args.scenario, dict):  # a manifest's resolved scenario, under rerun
-            sc = scenario_from_dict(args.scenario)
-        else:
-            sc = load_scenario(args.scenario)
-            if args.seed is not None:
-                sc = dataclasses.replace(sc, base_seed=args.seed)
-        args.scenario = sc
-        config["scenario"] = scenario_to_dict(sc)
-        base_seed = sc.base_seed
-    out = Path(args.out) if args.out is not None else Path(os.environ.get(OUTDIR_ENV, "runs")) / command
+def _run(command: str, config: dict, out: str | None) -> int:
+    """Call command with config and its output directory, then record config in its manifest."""
+    out = Path(out) if out is not None else Path(os.environ.get(OUTDIR_ENV, "runs")) / command
     out.mkdir(parents=True, exist_ok=True)
     # an overflow shows in the finished outputs, which the writers check
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs = COMMANDS[command](args, out)
-    write_manifest(out, command, config, base_seed, outputs)
+        outputs = COMMANDS[command](out, **config)
+    recorded = {k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v for k, v in config.items()}
+    write_manifest(out, command, recorded, outputs)
     return EXIT_OK
 
 
-def cmd_rerun(args: argparse.Namespace) -> int:
-    path = Path(args.manifest)
+def cmd_rerun(path: Path, out: str | None) -> int:
     if not path.is_file():
         raise ConfigError(f"manifest not found: {path}")
     manifest = RunManifest.load(path)
     if manifest.command not in COMMANDS:
         raise ConfigError(f"manifest: unknown command {manifest.command!r}")
-    # the config holds every destination of the command's parser but UNRECORDED, and no other key
-    parser = build_parser()._subparsers._group_actions[0].choices[manifest.command]
-    recorded = {action.dest for action in parser._actions} - {"help", *UNRECORDED}
-    for key in sorted(manifest.config.keys() ^ recorded):
-        problem = "unknown" if key in manifest.config else "missing"
-        raise ConfigError(f"manifest.config: malformed ({problem} key {key!r})")
-    if not isinstance(manifest.config.get("scenario", {}), dict):
-        raise ConfigError("manifest: config key 'scenario' must be a resolved scenario table")
-    out = args.out if args.out is not None else str(path.parent)
-    return _run(manifest.command, argparse.Namespace(**manifest.config, json=False, out=out))
+    config = read_arguments(COMMANDS[manifest.command], manifest.config, "manifest.config", skip=("out",))
+    return _run(manifest.command, config, out if out is not None else str(path.parent))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,12 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    config = vars(build_parser().parse_args(argv))
+    command, out = config.pop("command"), config.pop("out")
     try:
-        if args.command == "rerun":
-            return cmd_rerun(args)
-        return _run(args.command, args)
+        if command == "rerun":
+            return cmd_rerun(Path(config["manifest"]), out)
+        seed = config.pop("seed", None)
+        if "scenario" in config:
+            sc = load_scenario(config["scenario"])
+            config["scenario"] = sc if seed is None else dataclasses.replace(sc, base_seed=seed)
+        return _run(command, config, out)
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

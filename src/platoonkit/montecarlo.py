@@ -144,14 +144,14 @@ class DecelDistribution:
     def __post_init__(self) -> None:
         require_finite(self, ("mean", "std", "low", "high", "value"), ConfigError)
         if self.kind not in ("point", "uniform", "truncnorm"):
-            raise ConfigError(f"decel_dist.kind: unknown kind {self.kind!r}")
+            raise ConfigError(f"montecarlo.decel_dist: unknown kind {self.kind!r}")
         if self.kind == "point" and not (self.value > 0):
-            raise ConfigError("decel_dist.value: must be positive")
+            raise ConfigError("montecarlo.decel_value_mps2: must be positive")
         if self.kind in ("uniform", "truncnorm"):
             if not (0 < self.low <= self.high):
-                raise ConfigError("decel_dist: need 0 < low <= high")
+                raise ConfigError("montecarlo.decel_low_mps2, montecarlo.decel_high_mps2: need 0 < low <= high")
         if self.kind == "truncnorm" and not (self.std > 0):
-            raise ConfigError("decel_dist.std: must be positive")
+            raise ConfigError("montecarlo.decel_std_mps2: must be positive")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "point":

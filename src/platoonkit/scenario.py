@@ -12,10 +12,12 @@ Example:
     ka = 0.4
     ...
 
-Parsing is strict: unknown keys, missing keys and malformed values raise
+Parsing is strict: unknown keys, missing keys, malformed or rejected values
+and keys the chosen model, mode or distribution does not read raise
 ConfigError naming the offending `section.key`.  A manifest holds a scenario
-as its dataclasses' fields, read back just as strictly, and the dict's
-canonical JSON hash identifies the resolved configuration in each `RunManifest`.
+as every field of its dataclasses, read back just as strictly by the builder
+that also reads a command's arguments, and the dict's canonical JSON hash
+identifies the resolved configuration in each `RunManifest`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -38,8 +41,8 @@ from .errors import ConfigError, InvalidInputError
 from .montecarlo import ChannelSpec, DecelDistribution, ScenarioConfig
 
 __all__ = [
-    "load_scenario", "parse_scenario", "scenario_to_dict", "scenario_from_dict", "config_hash",
-    "RunManifest",
+    "load_scenario", "parse_scenario", "scenario_to_dict", "scenario_from_dict", "read_arguments",
+    "config_hash", "RunManifest",
 ]
 
 _KNOWN_KEYS = {
@@ -57,13 +60,27 @@ _KNOWN_KEYS = {
     },
 }
 
+# the config dataclass field a scenario key sets, where the two names differ
+_FIELD_KEYS = {
+    "tau": "tau_s", "length": "vehicle_length_m", "decel_limit": "decel_limit_mps2",
+    "accel_limit": "accel_limit_mps2", "k_a": "ka", "k_v": "kv", "k_p": "kp", "h_w": "hw_s",
+}
+
+
+def _rejected(section: str, exc: InvalidInputError) -> ConfigError:
+    """exc, whose message opens with the rejected field, as a ConfigError naming its scenario key."""
+    name, _, problem = str(exc).partition(" ")
+    return ConfigError(f"{section}.{_FIELD_KEYS.get(name, name)}: {problem}")
+
 
 class _Section:
     def __init__(self, name: str, values: dict[str, str]):
         self.name = name
         self.values = values
+        self.read: set[str] = set()
 
     def get(self, key: str, default: str | None = None) -> str:
+        self.read.add(key)
         if key in self.values:
             return self.values[key]
         if default is not None:
@@ -88,7 +105,7 @@ class _Section:
             raise ConfigError(f"{self.name}.{key}: expected an integer, got {raw!r}") from None
 
 
-def _parse_segments(raw: str) -> LeaderProfile:
+def _parse_segments(raw: str, brakes_at_limit: bool) -> LeaderProfile:
     """Parse 'start u [target]; start u [target]; ...' into a profile."""
     segments = []
     for part in raw.split(";"):
@@ -108,7 +125,7 @@ def _parse_segments(raw: str) -> LeaderProfile:
             raise ConfigError(f"leader.segments: non-finite value in segment {part!r}")
         segments.append(LeaderSegment(*values))
     try:
-        return LeaderProfile(tuple(segments))
+        return LeaderProfile(tuple(segments), brakes_at_limit)
     except InvalidInputError as exc:
         raise ConfigError(f"leader.segments: {exc}") from None
 
@@ -144,7 +161,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             accel_limit=pl.get_float("accel_limit_mps2", "3.0"),
         )
     except InvalidInputError as exc:
-        raise ConfigError(f"platoon: {exc}") from None
+        raise _rejected("platoon", exc) from None
 
     mode = ct.get("mode", "cacc").lower()
     try:
@@ -156,7 +173,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             mode=mode,
         )
     except InvalidInputError as exc:
-        raise ConfigError(f"controller: {exc}") from None
+        raise _rejected("controller", exc) from None
 
     model = ch.get("model", "ideal").lower()
     if model == "ideal":
@@ -169,18 +186,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 p_gb=ch.get_float("p_gb"), p_bg=ch.get_float("p_bg"), q=ch.get_float("q")
             )
         except InvalidInputError as exc:
-            raise ConfigError(f"channel: {exc}") from None
+            raise _rejected("channel", exc) from None
         channel = ChannelSpec(kind="gilbert", gilbert=gp)
     else:
         raise ConfigError(f"channel.model: unknown model {model!r}")
 
     leader_mode = ld.get("mode", "segments").lower()
-    if leader_mode == "segments":
-        leader = _parse_segments(ld.get("segments", ""))
-    elif leader_mode == "brake_at_limit":
-        leader = LeaderProfile(brakes_at_limit=True)
-    else:
+    if leader_mode not in ("segments", "brake_at_limit"):
         raise ConfigError(f"leader.mode: unknown mode {leader_mode!r}")
+    leader = _parse_segments(ld.get("segments", ""), brakes_at_limit=leader_mode == "brake_at_limit")
 
     dist_kind = mc.get("decel_dist", "none").lower()
     if dist_kind == "none":
@@ -202,7 +216,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     else:
         raise ConfigError(f"montecarlo.decel_dist: unknown distribution {dist_kind!r}")
 
-    return ScenarioConfig(
+    scenario = ScenarioConfig(
         n_followers=pl.get_int("n_followers"),
         params=params,
         controller=controller,
@@ -216,6 +230,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
         realizations=mc.get_int("realizations", "1"),
         base_seed=mc.get_int("base_seed", "0"),
     )
+    for section in (pl, ct, ch, ld, sim, mc):
+        for key in sorted(section.values.keys() - section.read):
+            raise ConfigError(f"{section.name}.{key}: not read by the chosen model, mode or distribution")
+    return scenario
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -227,50 +245,42 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict[str, typing.Any]:
-    """The scenario's dataclass fields as plain JSON for manifests, read back by scenario_from_dict.
-
-    A None is left out, and a leader segment is the list [start, u] or [start, u, target].
-    """
-    def written(value):
-        if isinstance(value, dict):
-            return {k: written(v) for k, v in value.items() if v is not None}
-        if isinstance(value, tuple):   # the leader's segments
-            return [list(written(seg).values()) for seg in value]
-        return value
-
-    return written(dataclasses.asdict(sc))
+    """Every field of the scenario's dataclasses as plain JSON for manifests, read back by scenario_from_dict."""
+    return dataclasses.asdict(sc)
 
 
-def _build(cls, table, where: str):
-    """Dataclass cls from its manifest table, which where names in messages.
+def read_arguments(fn, table, where: str, skip: tuple[str, ...] = ()) -> dict[str, typing.Any]:
+    """The keyword arguments of fn (a function or a dataclass) but skip, read from its manifest table.
 
-    The table holds every field but one that defaults to None, which the
-    writer leaves out, and no other key.  A violation is a ConfigError
-    naming the table and the key.
+    The table holds every parameter, a None as null, and no other key; each
+    value must have its parameter's type hint, and a dataclass hint reads a
+    nested table.  where names the table in messages; a violation is a
+    ConfigError naming the table and the key.
     """
     if not isinstance(table, dict):
         raise ConfigError(f"{where}: malformed (expected a table, got {type(table).__name__})")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(table.keys() - hints.keys(), key=str)
-    if unknown:
-        raise ConfigError(f"{where}: malformed (unknown key {unknown[0]!r})")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in table:
-            kwargs[f.name] = _read(hints[f.name], table[f.name], where, f.name, null_written=f.default is not None)
-        elif f.default is not None:
-            raise ConfigError(f"{where}: malformed (missing key {f.name!r})")
+    names = [name for name in inspect.signature(fn).parameters if name not in skip]
+    for key in sorted(table.keys() ^ set(names), key=str):
+        problem = "unknown" if key in table else "missing"
+        raise ConfigError(f"{where}: malformed ({problem} key {key!r})")
+    hints = typing.get_type_hints(fn)
+    return {name: _read(hints[name], table[name], where, name) for name in names}
+
+
+def _build(cls, table, where: str):
+    """Dataclass cls from its manifest table; a value cls refuses is a ConfigError naming where."""
+    kwargs = read_arguments(cls, table, where)
     try:
         return cls(**kwargs)
     except InvalidInputError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _read(hint, value, where: str, key: str, null_written: bool = False):
-    """Field key of table where from its manifest value, checked against the field's type hint."""
+def _read(hint, value, where: str, key: str):
+    """Parameter key of table where from its manifest value, checked against its type hint."""
     args = typing.get_args(hint)
-    if type(None) in args:   # X | None: null only where the writer writes None
-        if value is None and null_written:
+    if type(None) in args:   # X | None: null reads as None
+        if value is None:
             return None
         (hint,) = set(args) - {type(None)}
         args = typing.get_args(hint)
@@ -284,13 +294,11 @@ def _read(hint, value, where: str, key: str, null_written: bool = False):
     if not ok:
         words = {bool: "a bool", int: "an integer", float: "a number", str: "a string", dict: "a table", list: "a list"}
         raise ConfigError(f"{where}: malformed ({key} must be {words[kind]}, got {type(value).__name__})")
-    if origin is tuple:   # the leader's segments, each the list of its fields but a None target
-        names = [f.name for f in dataclasses.fields(args[0])]
-        if not all(isinstance(row, list) and 2 <= len(row) <= len(names) for row in value):
-            raise ConfigError(f"{where}: malformed ({key} must be a list of [start, u] or [start, u, target])")
-        return tuple(_build(args[0], dict(zip(names, row)), f"{where}.{key}[{i}]") for i, row in enumerate(value))
-    if origin is list:
-        return [_read(args[0], v, where, f"{key}[{i}]") for i, v in enumerate(value)]
+    if kind is list:   # list[X] and tuple[X, ...] of any length, tuple[X, Y, ...] of exactly its
+        items = args if origin is tuple and ... not in args else args[:1] * len(value)
+        if len(value) != len(items):
+            raise ConfigError(f"{where}: malformed ({key} must hold {len(items)} items, got {len(value)})")
+        return origin(_read(h, v, where, f"{key}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
     return value
 
 
@@ -311,7 +319,6 @@ class RunManifest:
 
     command: str
     config: dict
-    base_seed: int | None
     version: str = __version__
     config_sha256: str = ""
     outputs: list[str] = field(default_factory=list)

@@ -76,14 +76,17 @@ INVALID_VARIANTS = {
     "interpolated reference": (edit("ka = 0.4", "ka = %(kv)s"), "controller.ka"),
     "trailing percent": (edit("ka = 0.4", "ka = 0.4%"), "controller.ka"),
     "gilbert probability": (
-        edit("model = ideal", "model = gilbert\np_gb = 1.5\np_bg = 0.1\nq = 0.2"), "channel: p_gb"),
+        edit("model = ideal", "model = gilbert\np_gb = 1.5\np_bg = 0.1\nq = 0.2"), "channel.p_gb"),
     "channel model": (edit("model = ideal", "model = smoke"), "channel.model"),
     "leader mode": (edit("mode = segments", "mode = teleport"), "leader.mode"),
     "decel distribution": (edit("", "[montecarlo]\ndecel_dist = gamma\n"), "montecarlo.decel_dist"),
-    "lag": (edit("n_followers = 2", "n_followers = 2\ntau_s = 0"), "platoon: tau"),
-    "length": (edit("n_followers = 2", "n_followers = 2\nvehicle_length_m = 0"), "platoon: length"),
-    "decel limit": (edit("n_followers = 2", "n_followers = 2\ndecel_limit_mps2 = -1"), "platoon: decel_limit"),
-    "accel limit": (edit("n_followers = 2", "n_followers = 2\naccel_limit_mps2 = 0"), "platoon: accel_limit"),
+    "lag": (edit("n_followers = 2", "n_followers = 2\ntau_s = 0"), "platoon.tau_s"),
+    "length": (edit("n_followers = 2", "n_followers = 2\nvehicle_length_m = 0"), "platoon.vehicle_length_m"),
+    "decel limit": (edit("n_followers = 2", "n_followers = 2\ndecel_limit_mps2 = -1"),
+                    "platoon.decel_limit_mps2"),
+    "accel limit": (edit("n_followers = 2", "n_followers = 2\naccel_limit_mps2 = 0"),
+                    "platoon.accel_limit_mps2"),
+    "feed-forward gain": (edit("ka = 0.4", "ka = -1"), "controller.ka"),
     "oversize string": (edit("n_followers = 2", "n_followers = 100000000000000000000"), "platoon.n_followers"),
     "oversize study": (
         edit("", "[montecarlo]\nrealizations = 100000000000000000000000\n"), "montecarlo.realizations"),
@@ -103,8 +106,21 @@ INVALID_VARIANTS = {
     "zero step": (edit("dt_s = 0.01", "dt_s = 0"), "sim.dt_s"),
     "unindexable step": (edit("dt_s = 0.01", "dt_s = 1e-300"), "sim.dt_s"),
     "negative gap": (edit("n_followers = 2", "n_followers = 2\nstandstill_gap_m = -1"), "platoon.standstill_gap_m"),
-    "zero point decel": (edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 0\n"), "decel_dist.value"),
-    "zero decel spread": (edit("", "[montecarlo]\ndecel_dist = truncnorm\ndecel_std_mps2 = 0\n"), "decel_dist.std"),
+    "zero point decel": (
+        edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 0\n"), "montecarlo.decel_value_mps2"),
+    "zero decel spread": (
+        edit("", "[montecarlo]\ndecel_dist = truncnorm\ndecel_std_mps2 = 0\n"), "montecarlo.decel_std_mps2"),
+    # a key that the chosen model, mode or distribution does not read
+    "segments of a leader at its limit": (edit("mode = segments", "mode = brake_at_limit"), "leader.segments"),
+    "gamma of an ideal channel": (edit("model = ideal", "model = ideal\ngamma = 0.4"), "channel.gamma"),
+    "gamma of a gilbert channel": (
+        edit("model = ideal", "model = gilbert\np_gb = 0.3\np_bg = 0.1\nq = 0.2\ngamma = 0.4"), "channel.gamma"),
+    "p_gb of an iid channel": (edit("model = ideal", "model = iid\ngamma = 0.6\np_gb = 0.3"), "channel.p_gb"),
+    "spread without a decel distribution": (
+        edit("", "[montecarlo]\ndecel_std_mps2 = 1\n"), "montecarlo.decel_std_mps2"),
+    "mean of a point decel": (
+        edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 8\ndecel_mean_mps2 = 7\n"),
+        "montecarlo.decel_mean_mps2"),
 }
 
 # Values for the parser fuzz: numbers, counts past any array, non-finite
@@ -279,6 +295,13 @@ class TestParsing:
         assert config_hash(d2) != config_hash(d)
 
 
+def old_segment_lists(manifest):
+    """Write the manifest's leader segments as the older format did: [start, u] or [start, u, target]."""
+    leader = manifest["config"]["scenario"]["leader"]
+    leader["segments"] = [[s["start_time"], s["u"]] + ([s["target_velocity"]] if s["target_velocity"] else [])
+                          for s in leader["segments"]]
+
+
 def file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -422,7 +445,8 @@ class TestCli:
         # gamma=1 lossless channel keeps the fig2 gains string stable at h=0.75
         scn = tmp_path / "stable.scn"
         scn.write_text(
-            (SCENARIOS / "fig2.scn").read_text().replace("model = gilbert", "model = ideal")
+            (SCENARIOS / "fig2.scn").read_text().replace("model = gilbert\np_gb = 0.3\np_bg = 0.1\nq = 0.2",
+                                                         "model = ideal")
         )
         out = tmp_path / "bound"
         assert main(["bound", str(scn), "--alpha-star", "0.5", "--out", str(out)]) == EXIT_OK
@@ -477,9 +501,9 @@ class TestCli:
             ["montecarlo", str(short["safety"]), "--realizations", "30"],
             ["validate-mean", str(short["fig3"]), "--realizations", "20"],
         ]
-        # Every parsed destination is recorded except these; --seed lands in
-        # the scenario's base_seed.
-        unrecorded = {"command", "seed", "out", "json"}
+        # Every parsed destination is a parameter of the command and recorded,
+        # except these; --seed lands in the scenario's base_seed.
+        unrecorded = {"command", "seed", "out"}
         for n, argv in enumerate(runs):
             out1, out2 = tmp_path / f"run{n}" / "a", tmp_path / f"run{n}" / "b"
             assert main(argv + ["--out", str(out1)]) == EXIT_OK
@@ -489,8 +513,7 @@ class TestCli:
             command = argv[0]
             assert manifest["command"] == command
             assert set(manifest["config"]) == set(vars(build_parser().parse_args(argv))) - unrecorded
-            if command != "headway":
-                assert manifest["base_seed"] == manifest["config"]["scenario"]["base_seed"]
+            assert set(manifest) == {"command", "config", "config_sha256", "outputs", "version"}
             assert files == sorted(manifest["outputs"] + ["manifest.json"])
             assert sorted(p.name for p in out2.iterdir()) == files
             for name in files:
@@ -541,7 +564,8 @@ class TestCli:
         assert "tau" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, named", [
-        ("scenario", str(SCENARIOS / "fig2.scn"), "'scenario'"),  # a path, not a resolved table
+        # a path, not a resolved table
+        ("scenario", str(SCENARIOS / "fig2.scn"), "manifest.config.scenario: malformed (expected a table, got str)"),
         (None, ["scenario"], "config must be a table"),
     ])
     def test_rerun_names_malformed_config(self, tmp_path, capsys, key, value, named):
@@ -579,7 +603,8 @@ class TestCli:
         def tables(node, path=()):
             if isinstance(node, dict):
                 yield path, node
-                for key, value in node.items():
+            for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+                if isinstance(value, (dict, list)):
                     yield from tables(value, path + (key,))
 
         def edited(path, change):
@@ -594,10 +619,7 @@ class TestCli:
 
         edits = []
         for path, table in tables(original):
-            # an absent optional table reads as its None: a scenario without a
-            # decel distribution, which the format cannot tell from a removed one
-            edits += [(edited(path, lambda t, k=key: t.pop(k)), key) for key in table
-                      if path + (key,) != ("config", "scenario", "decel_dist")]
+            edits += [(edited(path, lambda t, k=key: t.pop(k)), key) for key in table]
             edits.append((edited(path, lambda t: t.update(stray=1)), "stray"))
         leader = ("config", "scenario", "leader")
         edits += [
@@ -615,6 +637,53 @@ class TestCli:
             assert err.startswith("config error: ") and err.count("\n") == 1, err
             assert f"'{key}'" in err or f".{key}" in err or f"{key} must be" in err, (key, err)
             assert not (out / "manifest.json").exists()
+
+    def rerun_edited(self, tmp_path, capsys, argv, change):
+        """Run argv, edit its manifest with change and re-hash it, then rerun it: (exit code, stderr, out)."""
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(out1)]) == EXIT_OK
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        change(manifest)
+        manifest["config_sha256"] = config_hash(manifest["config"])
+        (out1 / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)])
+        return code, capsys.readouterr().err, out2
+
+    @pytest.mark.parametrize("argv, change, key", [
+        (["simulate", "MINIMAL", "--states"], lambda c: c.update(states="false"), "states"),
+        (["simulate", "MINIMAL"], lambda c: c.update(realization="0"), "realization"),
+        (["bound", "MINIMAL", "--alpha-star", "0.5"], lambda c: c.update(alpha_star="0.5"), "alpha_star"),
+        (["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "0.3", "0.1", "0.2"],
+         lambda c: c.update(gilbert=[0.3, 0.1]), "gilbert"),
+        (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c.update(realizations=4.0),
+         "realizations"),
+        (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c["scenario"].pop("decel_dist"),
+         "decel_dist"),
+    ], ids=["string flag", "string index", "string number", "short list", "float count", "removed table"])
+    def test_rerun_rejects_a_tampered_config_value(self, tmp_path, capsys, argv, change, key):
+        """A value of the wrong type, or a removed optional table: exit 2 naming the key, no manifest written."""
+        paths = {"MINIMAL": str(self.write_minimal(tmp_path)), "SHORT_SAFETY": str(short_safety(tmp_path, 2))}
+        argv = [paths.get(a, a) for a in argv]
+        code, err, out = self.rerun_edited(tmp_path, capsys, argv, lambda m: change(m["config"]))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: manifest.config") and err.count("\n") == 1, err
+        assert f"{key} must " in err or f"'{key}'" in err, err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("change, named", [
+        (lambda m: m.update(base_seed=0), "manifest: malformed (unknown key 'base_seed')"),
+        (lambda m: m["config"]["scenario"]["channel"].pop("gamma"),
+         "manifest.config.scenario.channel: malformed (missing key 'gamma')"),
+        (old_segment_lists, "manifest.config.scenario.leader.segments[0]: malformed (expected a table, got list)"),
+    ], ids=["envelope seed", "no gamma", "segment lists"])
+    def test_rerun_rejects_the_old_manifest_format_by_name(self, tmp_path, capsys, change, named):
+        """A manifest in the format that left out every None and wrote segments as lists: exit 2 naming the key."""
+        scn = str(self.write_minimal(tmp_path))
+        code, err, out = self.rerun_edited(tmp_path, capsys, ["stability", scn], change)
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {named}\n"
+        assert not (out / "manifest.json").exists()
 
     def test_dead_worker_and_memory_error_exit_resources(self, tmp_path, monkeypatch, capsys):
         scn = short_safety(tmp_path, 2)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -265,7 +266,9 @@ def cmd_rerun(path: Path, out: str | None) -> int:
     return _run(manifest.command, config, out if out is not None else str(path.parent))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="platoonkit",
         description="Connected vehicle string simulation and string-stability analysis",

@@ -34,6 +34,11 @@ binary64 +, -, *, comparison, max/min or select, rounded correctly and
 uncontracted by both numpy and CPython, and the float loop keeps the batched
 loop's operand order, so it gives the same bits.  Batch size alone selects
 the loop.
+
+scipy.special is imported only where it is called: by a truncated-normal
+decel draw and by the mean-trajectory test.  Before a pool forks, the parent
+makes an empty decel draw, so every worker inherits whatever a draw imports
+and none imports it again.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .channel import GilbertParams, gamma_analytic, stationary_good_probability
 from .control import ControllerConfig
@@ -86,8 +90,11 @@ RECEPTION_BLOCK = 1024     # slots per draw call; fewer pay the per-call cost, m
 RECEPTION_TILE = 128       # channels per transposed tile, sized to stay in cache
 SUM_BLOCK = 16             # grid points per moment-sum reduction: wider rows reduce faster, same bits
 ENVELOPE_ATOL = 1e-9       # absorbs float accumulation noise on deterministic components
-FAMILY_ALPHA = 2.0 * float(ndtr(-3.0))   # two-sided 3-sigma level of the mean-trajectory test
-_INDEX_MAX = int(np.iinfo(np.intp).max)   # the largest count or index an array can hold
+FAMILY_ALPHA = 0.0026997960632601866    # 2 * ndtr(-3): two-sided 3-sigma level of the mean-trajectory test
+_INDEX_MAX = int(np.iinfo(np.intp).max)   # the largest index an array can hold
+# the largest count accepted: numpy describes at most _INDEX_MAX // 8 float64
+# elements, and np.arange needs a little more room than that
+_COUNT_MAX = _INDEX_MAX // 16
 
 
 @dataclass(frozen=True)
@@ -158,6 +165,8 @@ class DecelDistribution:
             return np.full(n, self.value)
         if self.kind == "uniform":
             return self.low + (self.high - self.low) * rng.random(n)
+        from scipy.special import ndtr, ndtri
+
         a = ndtr((self.low - self.mean) / self.std)
         b = ndtr((self.high - self.mean) / self.std)
         return self.mean + self.std * ndtri(a + rng.random(n) * (b - a))
@@ -182,8 +191,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         require_finite(self, ("initial_speed", "dt", "duration", "standstill_gap"), ConfigError)
-        if not 1 <= self.n_followers < _INDEX_MAX:
-            raise ConfigError(f"platoon.n_followers: must be in [1, {_INDEX_MAX - 1}], got {self.n_followers}")
+        if self.n_followers < 1:
+            raise ConfigError(f"platoon.n_followers: must be at least 1, got {self.n_followers}")
         if not (self.duration > 0):
             raise ConfigError("sim.duration_s: must be positive")
         if not (self.dt > 0):
@@ -192,12 +201,17 @@ class ScenarioConfig:
             raise ConfigError("sim.dt_s: too small for sim.duration_s: more steps than an array can index")
         if self.n_steps < 1:
             raise ConfigError("sim.duration_s: shorter than one step")
+        # a batch's largest arrays: its trajectories (BATCH_SIZE, steps + 1, vehicles, 3),
+        # its moment block and its reception planes (RECEPTION_BLOCK slots, at most)
+        if BATCH_SIZE * max(self.n_steps + 1, RECEPTION_BLOCK) * self.n_vehicles * 3 > _COUNT_MAX:
+            raise ConfigError(f"platoon.n_followers: {self.n_followers} followers over {self.n_steps} steps "
+                              "(sim.duration_s / sim.dt_s) need arrays larger than numpy can describe")
         if self.initial_speed < 0:
             raise ConfigError("platoon.initial_speed_mps: must be nonnegative")
         if self.standstill_gap < 0:
             raise ConfigError("platoon.standstill_gap_m: must be nonnegative")
-        if not 1 <= self.realizations <= _INDEX_MAX:
-            raise ConfigError(f"montecarlo.realizations: must be in [1, {_INDEX_MAX}], got {self.realizations}")
+        if not 1 <= self.realizations <= _COUNT_MAX:
+            raise ConfigError(f"montecarlo.realizations: must be in [1, {_COUNT_MAX}], got {self.realizations}")
         if self.base_seed < 0:
             raise ConfigError("montecarlo.base_seed: must be nonnegative")
 
@@ -631,6 +645,8 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     variance is zero for n < 2.
     """
     chunks = _chunks(np.arange(n))
+    if sum(map(len, chunks)) != n:
+        raise ConfigError(f"montecarlo.realizations: {n} realizations do not fit one index array")
     batch = functools.partial(_batch_sums, sc, shape=shape, sample=sample)
     total = np.zeros((sc.n_steps + 1,) + shape)
     sumsq = np.zeros_like(total)
@@ -640,6 +656,8 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     workers = min(len(chunks), cores)
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            if sc.decel_dist is not None:
+                sc.decel_dist.sample(0, np.random.default_rng(0))   # the workers inherit what a draw imports
             pool = stack.enter_context(
                 ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             )
@@ -737,10 +755,13 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     replaced by its expectation.  Requires fixed deceleration limits (the
     equivalence claim concerns channel randomness only).
     """
-    if not 1 <= n_realizations <= _INDEX_MAX:
-        raise ConfigError(f"n_realizations must be in [1, {_INDEX_MAX}], got {n_realizations}")
+    if not 1 <= n_realizations <= _COUNT_MAX:
+        raise ConfigError(f"montecarlo.realizations: n_realizations must be in [1, {_COUNT_MAX}], got {n_realizations}")
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
+    # imported before the run allocates its arrays: imported after them, it leaves the heap fragmented
+    from scipy.special import ndtri
+
     M = sc.n_vehicles
 
     det = run_realization(deterministic_equivalent(sc), 0).states

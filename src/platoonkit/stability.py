@@ -9,6 +9,10 @@ with g the packet reception probability; H(0) = 1, so string stability is the
 usual peak condition ||H||_inf <= 1.  The bound machinery chains the per-hop
 L2 relation through a Lyapunov-based L2->Linf gain to dominate the maximum
 spacing error of every vehicle by a constant independent of string length.
+
+scipy.linalg is imported inside the three functions that call it
+(lyapunov_solve, impulse_l1, _eta_sup), so a command that never reaches them,
+such as stability, loads only numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .control import ControllerConfig, min_headway
 from .errors import (
@@ -305,6 +308,7 @@ def impulse_l1(tf: TransferFunction) -> float:
     horizon = 40.0 * t_slow
     dt = min(t_fast / 50.0, horizon / 2000.0)
     n_steps = int(math.ceil(horizon / dt))
+    import scipy.linalg
     h = _propagate(C[0], scipy.linalg.expm(A * dt), n_steps + 1) @ B[:, 0]
     return float(np.trapezoid(np.abs(h), dx=dt)) + abs(d_term)
 
@@ -326,6 +330,7 @@ def lyapunov_solve(A: np.ndarray, Qm: np.ndarray) -> np.ndarray:
         raise NonHurwitzError(
             f"A is not Hurwitz (max Re eig = {np.max(eigs.real):.6g}); no unique PSD solution"
         )
+    import scipy.linalg
     P = scipy.linalg.solve_continuous_lyapunov(A, -Qm)
     P = 0.5 * (P + P.T)
     q_norm = float(np.linalg.norm(Qm))
@@ -425,6 +430,7 @@ def _eta_sup(A0: np.ndarray, C: np.ndarray) -> float:
     C exp(A0 t) on one are a start row carried on by powers of one step
     exponential: two expm calls and a doubling propagation per evaluation.
     """
+    import scipy.linalg
     h = 40.0 / np.abs(np.linalg.eigvals(A0).real).min() / ETA_STEPS
 
     def row_norms(u: np.ndarray) -> np.ndarray:

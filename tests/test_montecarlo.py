@@ -15,6 +15,7 @@ from platoonkit.control import ControllerConfig
 from platoonkit.dynamics import LeaderProfile, LeaderSegment, VehicleParams
 from platoonkit.errors import ConfigError, InvalidInputError
 from platoonkit.montecarlo import (
+    BATCH_SIZE,
     RECEPTION_BLOCK,
     RECEPTION_TILE,
     SUM_BLOCK,
@@ -601,6 +602,12 @@ class TestMoments:
         ref_total, ref_var = self.per_point(np.stack([r.spacing_errors for r in runs], axis=1))
         assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
 
+    def test_batches_that_miss_a_realization_are_config_error(self):
+        # np.arange(n) is empty for n >= 2**63 - 512: no batch would run
+        sc = small_scenario(duration=0.1)
+        with pytest.raises(ConfigError, match="montecarlo.realizations"):
+            montecarlo._moments(sc, 2**63 - 1, (sc.n_followers,), montecarlo._spacing_error)
+
 
 class TestMeanValidation:
     def test_ideal_channel_machine_precision(self):
@@ -637,6 +644,11 @@ class TestMeanValidation:
         )
         with pytest.raises(ConfigError):
             validate_mean_trajectory(sc, 10)
+
+    def test_family_alpha_is_two_sided_three_sigma(self):
+        import scipy.special
+
+        assert montecarlo.FAMILY_ALPHA == 2.0 * float(scipy.special.ndtr(-3.0))
 
 
 class TestSystemMatrix:
@@ -691,6 +703,23 @@ class TestScenarioValidation:
             small_scenario(realizations=0)
         with pytest.raises(ConfigError):
             small_scenario(base_seed=-1)
+
+    @pytest.mark.parametrize("realizations", [2**62, 2**63 - 1])
+    def test_realizations_past_an_index_array_rejected(self, realizations):
+        with pytest.raises(ConfigError, match="montecarlo.realizations"):
+            small_scenario(realizations=realizations)
+        assert small_scenario(realizations=montecarlo._COUNT_MAX).realizations == montecarlo._COUNT_MAX
+
+    def test_string_past_any_array_rejected(self):
+        """The largest accepted string is the last whose batch arrays numpy can describe."""
+        sc = small_scenario(duration=1.0)
+        per_vehicle = BATCH_SIZE * max(sc.n_steps + 1, RECEPTION_BLOCK) * 3
+        largest = montecarlo._COUNT_MAX // per_vehicle - 1
+        assert small_scenario(duration=1.0, n_followers=largest).n_followers == largest
+        assert (largest + 1) * per_vehicle * 8 <= np.iinfo(np.intp).max
+        for n_followers in (largest + 1, 2**63 - 2):
+            with pytest.raises(ConfigError, match="platoon.n_followers"):
+                small_scenario(duration=1.0, n_followers=n_followers)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(

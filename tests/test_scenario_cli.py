@@ -415,6 +415,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: platoon.n_followers: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "bound", "montecarlo"])
+    @pytest.mark.parametrize("n_followers", [2**63 - 2, 2**55])
+    def test_string_past_any_array_is_config_error(self, tmp_path, capsys, command, n_followers):
+        # 2**55 followers are one describable row, but their (steps, followers) arrays are not
+        scn = tmp_path / "huge.scn"
+        scn.write_text((SCENARIOS / "fig3.scn").read_text().replace(
+            "n_followers = 5", f"n_followers = {n_followers}"))
+        assert main([command, str(scn), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: platoon.n_followers: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, scenario", [("montecarlo", "safety.scn"), ("validate-mean", "fig3.scn")])
+    @pytest.mark.parametrize("realizations", [2**63 - 1, 2**62])
+    def test_realizations_past_an_index_array_are_config_error(self, tmp_path, capsys, command, scenario,
+                                                              realizations):
+        # at 2**63 - 1 np.arange was empty and no batch ran (exit 0); at 2**62 it raised
+        out = tmp_path / "out"
+        argv = [command, str(SCENARIOS / scenario), "--realizations", str(realizations), "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: montecarlo.realizations: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_headway_degenerate_chain_exit_code(self, tmp_path):
         code = main(["headway", "--tau", "0.5", "--ka", "0.4",
                      "--gilbert", "0", "0", "0.5", "--out", str(tmp_path)])
@@ -714,6 +741,65 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
+
+    def run_fresh(self, script: str, *args: str) -> subprocess.CompletedProcess:
+        """Run script in a fresh interpreter that imports platoonkit from this checkout."""
+        src = Path(platoonkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
+                              timeout=300)
+
+    def test_commands_without_a_solve_import_no_scipy(self, tmp_path):
+        """Only lyapunov_solve, impulse_l1, _eta_sup and the normal-distribution helpers import scipy."""
+        script = """if True:
+            import sys
+            from pathlib import Path
+            import platoonkit, platoonkit.cli, platoonkit.scenario
+            scenarios, out = Path(sys.argv[1]), Path(sys.argv[2])
+            for name in ("fig2.scn", "fig3.scn", "safety.scn"):
+                platoonkit.scenario.load_scenario(scenarios / name)
+            for argv in (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5"],
+                         ["stability", str(scenarios / "fig2.scn")],
+                         ["simulate", str(scenarios / "fig3.scn")]):
+                assert platoonkit.cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
+            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+        proc = self.run_fresh(script, str(SCENARIOS), str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_forked_workers_import_no_scipy(self, tmp_path):
+        """The parent imports what the workers' truncated-normal draws use before the pool forks."""
+        script = """if True:
+            import functools, os, sys
+            from platoonkit import montecarlo
+            from platoonkit.scenario import load_scenario
+
+            def scipy_modules():
+                return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+
+            real = montecarlo._batch_sums
+
+            @functools.wraps(real)
+            def batch_sums(*args, **kwargs):
+                before = scipy_modules()
+                result = real(*args, **kwargs)
+                assert os.getpid() != parent, "the batch ran in the parent, not in a worker"
+                assert scipy_modules() == before, f"a worker imported {sorted(scipy_modules() - before)}"
+                return result
+
+            parent = os.getpid()
+            montecarlo._batch_sums = batch_sums
+            montecarlo.BATCH_SIZE = 4
+            os.sched_getaffinity = lambda pid: {0, 1}
+            sc = load_scenario(sys.argv[1])
+            assert sc.decel_dist.kind == "truncnorm" and not scipy_modules()
+            montecarlo.run_safety_study(sc, realizations=8)
+            print("ok")
+        """
+        proc = self.run_fresh(script, str(short_safety(tmp_path, 2)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "ok"
 
     def test_module_entry_point_warns_nothing(self):
         src = Path(platoonkit.__file__).resolve().parent.parent

@@ -7,15 +7,18 @@ a run manifest (command, config, version, config hash, outputs) next to its
 outputs.  The config is every argument but `out`, the scenario as every field
 of its dataclasses and a None as null.  `rerun` reads that config back against
 the command's signature and type hints with the builder that reads the
-scenario, so a missing, unknown or wrongly typed key (a manifest of an older
-format among them) is a config error naming it, and passes it through `_run`
-to reproduce the outputs byte for byte.  CSVs are shaped for direct plotting
-and carry no volatile fields.  Commands hand raw values to `write_csv` and
-`write_summary`, which write every float round-trip, refuse a non-finite one
-naming its file and key, and return the file name for the manifest's outputs.
-Exit codes: 0 success, 2 configuration error or bad flag value, 3 numerical
-error (a failed solve or a non-finite result), 4 I/O error, 5 out of memory or
-a worker process died.
+scenario, so a missing, unknown, wrongly typed or refused value (a manifest of
+an older format among them) is a config error, and passes it through `_run`
+to reproduce the outputs byte for byte.  A rejected value is named in the
+terms of whoever wrote it: a scenario file's `section.key`, a manifest's
+`manifest.config...` table and key, a flag's parameter (`realizations`,
+`n_realizations`, `realization_index`, `alpha_star`).  CSVs are shaped for
+direct plotting and carry no volatile fields.  Commands hand raw values to
+`write_csv` and `write_summary`, which write every float round-trip, refuse a
+non-finite one naming its file and key, and return the file name for the
+manifest's outputs.  Exit codes: 0 success, 2 configuration error or bad flag
+value, 3 numerical error (a failed solve or a non-finite result), 4 I/O error,
+5 out of memory or a worker process died.
 """
 
 from __future__ import annotations

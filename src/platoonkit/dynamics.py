@@ -77,6 +77,11 @@ class LeaderSegment:
     u: float
     target_velocity: float | None = None
 
+    def __post_init__(self) -> None:
+        require_finite(self, ("start_time", "u"), InvalidInputError)
+        if self.target_velocity is not None:
+            require_finite(self, ("target_velocity",), InvalidInputError)
+
 
 @dataclass(frozen=True)
 class LeaderProfile:
@@ -92,12 +97,12 @@ class LeaderProfile:
 
     def __post_init__(self) -> None:
         if self.brakes_at_limit and self.segments:
-            raise InvalidInputError("a leader that brakes at its limit takes no segments")
+            raise InvalidInputError("segments: a leader that brakes at its limit takes no segments")
         times = [s.start_time for s in self.segments]
         if times and times[0] != 0.0:
-            raise InvalidInputError("first leader segment must start at t = 0")
+            raise InvalidInputError("segments: first leader segment must start at t = 0")
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
-            raise InvalidInputError("leader segment start times must be strictly increasing")
+            raise InvalidInputError("segments: start times must be strictly increasing")
 
 
 def zoh_coefficients(tau: float, dt: float) -> tuple[float, float, float, float, float, float]:

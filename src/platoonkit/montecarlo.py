@@ -49,10 +49,11 @@ import functools
 import math
 import multiprocessing
 import os
+import sys
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, ClassVar, Literal
 
 import numpy as np
 
@@ -107,21 +108,23 @@ class ChannelSpec:
     equivalent used for mean-trajectory validation).
     """
 
-    kind: Literal["ideal", "iid", "gilbert", "deterministic"]
+    # the fields each kind reads; it ignores the others
+    KIND_FIELDS: ClassVar = {"ideal": (), "iid": ("gamma",), "gilbert": ("gilbert",), "deterministic": ("gamma",)}
+
+    kind: Literal["ideal", "iid", "gilbert", "deterministic"] = "ideal"
     gamma: float | None = None
     gilbert: GilbertParams | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("iid", "deterministic"):
-            if self.gamma is None or not (0.0 <= self.gamma <= 1.0):
-                raise ConfigError(f"channel.gamma: must be in [0, 1] for kind={self.kind!r}")
-        elif self.kind == "gilbert":
+        if self.kind not in self.KIND_FIELDS:
+            raise InvalidInputError(f"kind must be one of {', '.join(self.KIND_FIELDS)}, got {self.kind!r}")
+        if self.kind in ("iid", "deterministic") and (self.gamma is None or not 0.0 <= self.gamma <= 1.0):
+            raise InvalidInputError(f"gamma must be in [0, 1] for kind {self.kind!r}, got {self.gamma}")
+        if self.kind == "gilbert":
             if self.gilbert is None:
-                raise ConfigError("channel.gilbert: parameters required for kind='gilbert'")
+                raise InvalidInputError("gilbert: parameters required for kind 'gilbert'")
             if self.gilbert.p_gb + self.gilbert.p_bg == 0.0:
-                raise ConfigError("channel.p_gb, channel.p_bg: both 0: the chain never changes state")
-        elif self.kind != "ideal":
-            raise ConfigError(f"channel.kind: unknown kind {self.kind!r}")
+                raise InvalidInputError("gilbert.p_gb, gilbert.p_bg: both 0: the chain never changes state")
 
     def effective_gamma(self) -> float:
         """Reception probability used by the deterministic equivalent."""
@@ -138,8 +141,15 @@ class DecelDistribution:
 
     Stand-in for the passenger-car braking distribution the safety study
     calls for; the default truncated normal (mean 7.5, sd 1.0 on [4.5, 9.5]
-    m/s^2) is fully configurable.
+    m/s^2) is fully configurable.  A truncated-normal window whose nearer end
+    lies about 37.5 sd or more from the mean is refused: the normal's tail
+    probability there falls below the smallest normalized double, and the
+    window's draws would be infinite.
     """
+
+    # the fields each kind reads; it ignores the others
+    KIND_FIELDS: ClassVar = {"point": ("value",), "uniform": ("low", "high"),
+                             "truncnorm": ("mean", "std", "low", "high")}
 
     kind: Literal["point", "uniform", "truncnorm"] = "truncnorm"
     mean: float = 7.5
@@ -149,16 +159,20 @@ class DecelDistribution:
     value: float = 9.0
 
     def __post_init__(self) -> None:
-        require_finite(self, ("mean", "std", "low", "high", "value"), ConfigError)
-        if self.kind not in ("point", "uniform", "truncnorm"):
-            raise ConfigError(f"montecarlo.decel_dist: unknown kind {self.kind!r}")
+        require_finite(self, ("mean", "std", "low", "high", "value"), InvalidInputError)
+        if self.kind not in self.KIND_FIELDS:
+            raise InvalidInputError(f"kind must be one of {', '.join(self.KIND_FIELDS)}, got {self.kind!r}")
         if self.kind == "point" and not (self.value > 0):
-            raise ConfigError("montecarlo.decel_value_mps2: must be positive")
-        if self.kind in ("uniform", "truncnorm"):
-            if not (0 < self.low <= self.high):
-                raise ConfigError("montecarlo.decel_low_mps2, montecarlo.decel_high_mps2: need 0 < low <= high")
-        if self.kind == "truncnorm" and not (self.std > 0):
-            raise ConfigError("montecarlo.decel_std_mps2: must be positive")
+            raise InvalidInputError(f"value must be positive, got {self.value}")
+        if self.kind in ("uniform", "truncnorm") and not (0 < self.low <= self.high):
+            raise InvalidInputError(f"low, high: need 0 < low <= high, got {self.low}, {self.high}")
+        if self.kind == "truncnorm":
+            if not (self.std > 0):
+                raise InvalidInputError(f"std must be positive, got {self.std}")
+            near = max(self.low - self.mean, self.mean - self.high, 0.0) / self.std
+            if 0.5 * math.erfc(near / math.sqrt(2.0)) < sys.float_info.min:
+                raise InvalidInputError(f"low, high: the window lies {near:.4g} sd from the mean, "
+                                        "where the normal's tail probability underflows")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "point":
@@ -167,53 +181,55 @@ class DecelDistribution:
             return self.low + (self.high - self.low) * rng.random(n)
         from scipy.special import ndtr, ndtri
 
-        a = ndtr((self.low - self.mean) / self.std)
-        b = ndtr((self.high - self.mean) / self.std)
-        return self.mean + self.std * ndtri(a + rng.random(n) * (b - a))
+        # ndtr rounds an upper tail to 1.0 from about 8.3 sd: a window above
+        # the mean is drawn mirrored, through the lower tail
+        sign = -1.0 if self.low > self.mean else 1.0
+        a, b = sorted(ndtr(sign * (x - self.mean) / self.std) for x in (self.low, self.high))
+        return self.mean + sign * self.std * ndtri(a + rng.random(n) * (b - a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """One fully specified platoon experiment."""
+    """One fully specified platoon experiment; its fields are keyword-only."""
 
     n_followers: int
     params: VehicleParams
     controller: ControllerConfig
-    channel: ChannelSpec
+    channel: ChannelSpec = ChannelSpec()
     leader: LeaderProfile = LeaderProfile()
-    initial_speed: float = 25.0
+    initial_speed: float
     dt: float = 0.01
-    duration: float = 40.0
+    duration: float
     standstill_gap: float = 5.0
     decel_dist: DecelDistribution | None = None
     realizations: int = 1
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(self, ("initial_speed", "dt", "duration", "standstill_gap"), ConfigError)
+        require_finite(self, ("initial_speed", "dt", "duration", "standstill_gap"), InvalidInputError)
         if self.n_followers < 1:
-            raise ConfigError(f"platoon.n_followers: must be at least 1, got {self.n_followers}")
+            raise InvalidInputError(f"n_followers must be at least 1, got {self.n_followers}")
         if not (self.duration > 0):
-            raise ConfigError("sim.duration_s: must be positive")
+            raise InvalidInputError(f"duration must be positive, got {self.duration}")
         if not (self.dt > 0):
-            raise ConfigError("sim.dt_s: must be positive")
+            raise InvalidInputError(f"dt must be positive, got {self.dt}")
         if not self.duration / self.dt < _INDEX_MAX:
-            raise ConfigError("sim.dt_s: too small for sim.duration_s: more steps than an array can index")
+            raise InvalidInputError("dt: too small for duration: more steps than an array can index")
         if self.n_steps < 1:
-            raise ConfigError("sim.duration_s: shorter than one step")
+            raise InvalidInputError("duration: shorter than one step")
         # a batch's largest arrays: its trajectories (BATCH_SIZE, steps + 1, vehicles, 3),
         # its moment block and its reception planes (RECEPTION_BLOCK slots, at most)
         if BATCH_SIZE * max(self.n_steps + 1, RECEPTION_BLOCK) * self.n_vehicles * 3 > _COUNT_MAX:
-            raise ConfigError(f"platoon.n_followers: {self.n_followers} followers over {self.n_steps} steps "
-                              "(sim.duration_s / sim.dt_s) need arrays larger than numpy can describe")
+            raise InvalidInputError(f"n_followers: {self.n_followers} followers over {self.n_steps} steps "
+                                    "(duration / dt) need arrays larger than numpy can describe")
         if self.initial_speed < 0:
-            raise ConfigError("platoon.initial_speed_mps: must be nonnegative")
+            raise InvalidInputError(f"initial_speed must be nonnegative, got {self.initial_speed}")
         if self.standstill_gap < 0:
-            raise ConfigError("platoon.standstill_gap_m: must be nonnegative")
+            raise InvalidInputError(f"standstill_gap must be nonnegative, got {self.standstill_gap}")
         if not 1 <= self.realizations <= _COUNT_MAX:
-            raise ConfigError(f"montecarlo.realizations: must be in [1, {_COUNT_MAX}], got {self.realizations}")
+            raise InvalidInputError(f"realizations must be in [1, {_COUNT_MAX}], got {self.realizations}")
         if self.base_seed < 0:
-            raise ConfigError("montecarlo.base_seed: must be nonnegative")
+            raise InvalidInputError(f"base_seed must be nonnegative, got {self.base_seed}")
 
     @property
     def n_steps(self) -> int:
@@ -646,7 +662,7 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     """
     chunks = _chunks(np.arange(n))
     if sum(map(len, chunks)) != n:
-        raise ConfigError(f"montecarlo.realizations: {n} realizations do not fit one index array")
+        raise ConfigError(f"n: {n} realizations do not fit one index array")
     batch = functools.partial(_batch_sums, sc, shape=shape, sample=sample)
     total = np.zeros((sc.n_steps + 1,) + shape)
     sumsq = np.zeros_like(total)
@@ -756,7 +772,7 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     equivalence claim concerns channel randomness only).
     """
     if not 1 <= n_realizations <= _COUNT_MAX:
-        raise ConfigError(f"montecarlo.realizations: n_realizations must be in [1, {_COUNT_MAX}], got {n_realizations}")
+        raise ConfigError(f"n_realizations must be in [1, {_COUNT_MAX}], got {n_realizations}")
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
     # imported before the run allocates its arrays: imported after them, it leaves the heap fragmented

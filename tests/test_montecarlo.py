@@ -95,23 +95,36 @@ class TestDecelSampling:
         draws = dist.sample(100_000, rng)
         assert draws.mean() == pytest.approx(7.5, abs=0.02)
 
-    def test_support_and_mean(self):
-        dist = DecelDistribution(kind="truncnorm", mean=7.5, std=1.0, low=4.5, high=9.5)
+    @pytest.mark.parametrize("mean, std, low, high", [
+        (7.5, 1.0, 4.5, 9.5),     # the -3/+2 sigma window is asymmetric
+        (7.5, 0.5, 12.5, 13.0),   # 10 to 11 sigma above the mean, where ndtr rounds to 1.0
+        (60.0, 2.0, 4.5, 9.5),    # 27.75 to 25.25 sigma below the mean
+    ])
+    def test_support_and_mean(self, mean, std, low, high):
+        dist = DecelDistribution(kind="truncnorm", mean=mean, std=std, low=low, high=high)
         rng = np.random.default_rng(2)
         draws = dist.sample(50_000, rng)
-        lo, hi = dist.low, dist.high
-        assert draws.min() >= lo and draws.max() <= hi
-        # analytic truncated-normal mean (the -3/+2 sigma window is asymmetric)
+        assert draws.min() >= low and draws.max() <= high
+        # analytic truncated-normal mean, each tail read on its own side for precision
         from scipy.stats import norm
 
-        a, b = (lo - 7.5) / 1.0, (hi - 7.5) / 1.0
-        expected = 7.5 + (norm.pdf(a) - norm.pdf(b)) / (norm.cdf(b) - norm.cdf(a))
-        assert draws.mean() == pytest.approx(expected, abs=0.02)
+        a, b = (low - mean) / std, (high - mean) / std
+        mass = norm.sf(a) - norm.sf(b) if a > 0 else norm.cdf(b) - norm.cdf(a)
+        expected = mean + std * (norm.pdf(a) - norm.pdf(b)) / mass
+        assert draws.mean() == pytest.approx(expected, abs=0.02 * std)
+
+    @pytest.mark.parametrize("mean, std, low, high", [
+        (7.5, 0.1, 20.0, 21.0),   # 125 sigma above the mean
+        (60.0, 1.0, 4.5, 5.0),    # 55 sigma below the mean
+    ])
+    def test_window_whose_mass_underflows_rejected(self, mean, std, low, high):
+        with pytest.raises(InvalidInputError, match="^low, high: "):
+            DecelDistribution(kind="truncnorm", mean=mean, std=std, low=low, high=high)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^low, high: need 0 < low <= high"):
             DecelDistribution(kind="uniform", low=5.0, high=4.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^kind must be one of"):
             DecelDistribution(kind="gauss")
 
 
@@ -605,7 +618,7 @@ class TestMoments:
     def test_batches_that_miss_a_realization_are_config_error(self):
         # np.arange(n) is empty for n >= 2**63 - 512: no batch would run
         sc = small_scenario(duration=0.1)
-        with pytest.raises(ConfigError, match="montecarlo.realizations"):
+        with pytest.raises(ConfigError, match="^n: 9223372036854775807 realizations do not fit"):
             montecarlo._moments(sc, 2**63 - 1, (sc.n_followers,), montecarlo._spacing_error)
 
 
@@ -688,25 +701,26 @@ FLOAT_FIELD_CLASSES = [
     (VehicleParams, VehicleParams, InvalidInputError),
     (ControllerConfig, lambda **kw: ControllerConfig(**{**dict(k_a=0.4, k_v=1.0, k_p=0.8, h_w=0.9), **kw}),
      InvalidInputError),
-    (DecelDistribution, DecelDistribution, ConfigError),
-    (ScenarioConfig, small_scenario, ConfigError),
+    (LeaderSegment, lambda **kw: LeaderSegment(**{**dict(start_time=0.0, u=0.0), **kw}), InvalidInputError),
+    (DecelDistribution, DecelDistribution, InvalidInputError),
+    (ScenarioConfig, small_scenario, InvalidInputError),
 ]
 
 
 class TestScenarioValidation:
     def test_bad_counts_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^n_followers must be at least 1"):
             small_scenario(n_followers=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^duration must be positive"):
             small_scenario(duration=0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^realizations must be in"):
             small_scenario(realizations=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInputError, match="^base_seed must be nonnegative"):
             small_scenario(base_seed=-1)
 
     @pytest.mark.parametrize("realizations", [2**62, 2**63 - 1])
     def test_realizations_past_an_index_array_rejected(self, realizations):
-        with pytest.raises(ConfigError, match="montecarlo.realizations"):
+        with pytest.raises(InvalidInputError, match="^realizations must be in"):
             small_scenario(realizations=realizations)
         assert small_scenario(realizations=montecarlo._COUNT_MAX).realizations == montecarlo._COUNT_MAX
 
@@ -718,7 +732,7 @@ class TestScenarioValidation:
         assert small_scenario(duration=1.0, n_followers=largest).n_followers == largest
         assert (largest + 1) * per_vehicle * 8 <= np.iinfo(np.intp).max
         for n_followers in (largest + 1, 2**63 - 2):
-            with pytest.raises(ConfigError, match="platoon.n_followers"):
+            with pytest.raises(InvalidInputError, match="^n_followers: "):
                 small_scenario(duration=1.0, n_followers=n_followers)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -729,5 +743,5 @@ class TestScenarioValidation:
     )
     def test_non_finite_field_rejected(self, build, error, field, bad):
         build()  # the defaults construct
-        with pytest.raises(error, match=field):
+        with pytest.raises(error, match=f"^{field} must be finite"):
             build(**{field: bad})

@@ -17,14 +17,7 @@ from platoonkit import cli, montecarlo
 from platoonkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCES, build_parser, main
 from platoonkit.dynamics import LeaderSegment
 from platoonkit.errors import ConfigError, NumericalError
-from platoonkit.scenario import (
-    _KNOWN_KEYS,
-    config_hash,
-    load_scenario,
-    parse_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from platoonkit.scenario import _KEYS, config_hash, load_scenario, parse_scenario, scenario_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -110,6 +103,9 @@ INVALID_VARIANTS = {
         edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 0\n"), "montecarlo.decel_value_mps2"),
     "zero decel spread": (
         edit("", "[montecarlo]\ndecel_dist = truncnorm\ndecel_std_mps2 = 0\n"), "montecarlo.decel_std_mps2"),
+    "decel window 50 sd below its mean": (
+        edit("", "[montecarlo]\ndecel_dist = truncnorm\ndecel_mean_mps2 = 60\n"),
+        "montecarlo.decel_low_mps2, montecarlo.decel_high_mps2: the window lies"),
     # a key that the chosen model, mode or distribution does not read
     "segments of a leader at its limit": (edit("mode = segments", "mode = brake_at_limit"), "leader.segments"),
     "gamma of an ideal channel": (edit("model = ideal", "model = ideal\ngamma = 0.4"), "channel.gamma"),
@@ -135,7 +131,7 @@ FUZZ_VALUES = st.one_of(
                      "point", "uniform", "truncnorm", "none", "0 0; 5 -3 10", "0 1 nan"]),
     st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12),
 )
-KEYS = [(section, key) for section, keys in _KNOWN_KEYS.items() for key in sorted(keys)]
+KEYS = [tuple(key.split(".")) for key in sorted(_KEYS)]
 
 
 def minimal_table() -> dict[str, dict[str, str]]:
@@ -158,7 +154,7 @@ def scenario_texts(draw) -> str:
 
 
 def round_trip(sc):
-    return scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+    return scenario_from_dict(json.loads(json.dumps(dataclasses.asdict(sc))))
 
 
 class TestParsing:
@@ -273,7 +269,7 @@ class TestParsing:
         (lambda d: d["params"].update(mass=1.0), "malformed .*mass"),
     ])
     def test_malformed_scenario_dict_is_config_error(self, change, named):
-        data = scenario_to_dict(parse_scenario(MINIMAL))
+        data = dataclasses.asdict(parse_scenario(MINIMAL))
         change(data)
         with pytest.raises(ConfigError, match=named):
             scenario_from_dict(data)
@@ -285,11 +281,11 @@ class TestParsing:
     def test_dict_round_trip(self):
         for name in ("fig2.scn", "fig3.scn", "safety.scn"):
             sc = load_scenario(SCENARIOS / name)
-            again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+            again = scenario_from_dict(json.loads(json.dumps(dataclasses.asdict(sc))))
             assert again == sc
 
     def test_config_hash_stable_and_sensitive(self):
-        d = scenario_to_dict(parse_scenario(MINIMAL))
+        d = dataclasses.asdict(parse_scenario(MINIMAL))
         assert config_hash(d) == config_hash(json.loads(json.dumps(d)))
         d2 = dict(d, dt=0.02)
         assert config_hash(d2) != config_hash(d)
@@ -391,11 +387,15 @@ class TestCli:
         # too large for the engine's index dtype
         (["simulate", str(SCENARIOS / "fig2.scn"), "--realization", "100000000000000000000000"],
          "realization_index"),
+        # a flag override names its parameter, not the scenario key it replaces
         (["montecarlo", str(SCENARIOS / "safety.scn"), "--realizations", "100000000000000000000000"],
-         "montecarlo.realizations"),
+         "config error: realizations must be in [1, "),
+        (["montecarlo", str(SCENARIOS / "safety.scn"), "--realizations", "0"],
+         "config error: realizations must be in [1, "),
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "100000000000000000000000"],
-         "n_realizations"),
-        (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "0"], "n_realizations"),
+         "config error: n_realizations must be in [1, "),
+        (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "0"],
+         "config error: n_realizations must be in [1, "),
         (["headway", "--tau", "0.5", "--ka", "0.4"], "--gamma or --gilbert"),
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5", "--gilbert", "0.3", "0.1", "0.2"],
          "--gamma or --gilbert"),
@@ -427,16 +427,19 @@ class TestCli:
         assert err.startswith("config error: platoon.n_followers: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, scenario", [("montecarlo", "safety.scn"), ("validate-mean", "fig3.scn")])
+    @pytest.mark.parametrize("command, scenario, prefix", [
+        ("montecarlo", "safety.scn", "realizations must be in [1, "),
+        ("validate-mean", "fig3.scn", "n_realizations must be in [1, "),
+    ])
     @pytest.mark.parametrize("realizations", [2**63 - 1, 2**62])
-    def test_realizations_past_an_index_array_are_config_error(self, tmp_path, capsys, command, scenario,
+    def test_realizations_past_an_index_array_are_config_error(self, tmp_path, capsys, command, scenario, prefix,
                                                               realizations):
         # at 2**63 - 1 np.arange was empty and no batch ran (exit 0); at 2**62 it raised
         out = tmp_path / "out"
         argv = [command, str(SCENARIOS / scenario), "--realizations", str(realizations), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: montecarlo.realizations: ") and err.count("\n") == 1
+        assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
     def test_parser_is_built_once(self):
@@ -677,24 +680,39 @@ class TestCli:
         code = main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)])
         return code, capsys.readouterr().err, out2
 
-    @pytest.mark.parametrize("argv, change, key", [
-        (["simulate", "MINIMAL", "--states"], lambda c: c.update(states="false"), "states"),
-        (["simulate", "MINIMAL"], lambda c: c.update(realization="0"), "realization"),
-        (["bound", "MINIMAL", "--alpha-star", "0.5"], lambda c: c.update(alpha_star="0.5"), "alpha_star"),
+    @pytest.mark.parametrize("argv, change, where, key", [
+        (["simulate", "MINIMAL", "--states"], lambda c: c.update(states="false"), "manifest.config", "states"),
+        (["simulate", "MINIMAL"], lambda c: c.update(realization="0"), "manifest.config", "realization"),
+        (["bound", "MINIMAL", "--alpha-star", "0.5"], lambda c: c.update(alpha_star="0.5"), "manifest.config",
+         "alpha_star"),
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "0.3", "0.1", "0.2"],
-         lambda c: c.update(gilbert=[0.3, 0.1]), "gilbert"),
+         lambda c: c.update(gilbert=[0.3, 0.1]), "manifest.config", "gilbert"),
         (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c.update(realizations=4.0),
-         "realizations"),
+         "manifest.config", "realizations"),
         (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c["scenario"].pop("decel_dist"),
-         "decel_dist"),
-    ], ids=["string flag", "string index", "string number", "short list", "float count", "removed table"])
-    def test_rerun_rejects_a_tampered_config_value(self, tmp_path, capsys, argv, change, key):
-        """A value of the wrong type, or a removed optional table: exit 2 naming the key, no manifest written."""
+         "manifest.config.scenario", "decel_dist"),
+        # values of the right type that the config dataclasses refuse
+        (["simulate", "MINIMAL"], lambda c: c["scenario"].update(dt=0.0), "manifest.config.scenario", "dt"),
+        (["simulate", "MINIMAL"], lambda c: c["scenario"].update(dt=float("nan")), "manifest.config.scenario", "dt"),
+        (["simulate", "MINIMAL"], lambda c: c["scenario"].update(n_followers=0), "manifest.config.scenario",
+         "n_followers"),
+        (["simulate", "MINIMAL"],
+         lambda c: c["scenario"].update(channel={"kind": "iid", "gamma": 2.0, "gilbert": None}),
+         "manifest.config.scenario.channel", "gamma"),
+        (["montecarlo", "SHORT_SAFETY", "--realizations", "4"],
+         lambda c: c["scenario"]["decel_dist"].update(kind="point", value=0.0), "manifest.config.scenario.decel_dist",
+         "value"),
+        (["simulate", "MINIMAL"], lambda c: c["scenario"]["leader"]["segments"][1].update(u=float("nan")),
+         "manifest.config.scenario.leader.segments[1]", "u"),
+    ], ids=["string flag", "string index", "string number", "short list", "float count", "removed table",
+            "zero step", "nan step", "no followers", "iid gamma past 1", "zero point decel", "nan segment command"])
+    def test_rerun_rejects_a_tampered_config_value(self, tmp_path, capsys, argv, change, where, key):
+        """A wrongly typed or refused value, or a removed optional table: exit 2 naming the key, no manifest."""
         paths = {"MINIMAL": str(self.write_minimal(tmp_path)), "SHORT_SAFETY": str(short_safety(tmp_path, 2))}
         argv = [paths.get(a, a) for a in argv]
         code, err, out = self.rerun_edited(tmp_path, capsys, argv, lambda m: change(m["config"]))
         assert code == EXIT_CONFIG
-        assert err.startswith("config error: manifest.config") and err.count("\n") == 1, err
+        assert err.startswith(f"config error: {where}: ") and err.count("\n") == 1, err
         assert f"{key} must " in err or f"'{key}'" in err, err
         assert not (out / "manifest.json").exists()
 

@@ -15,10 +15,11 @@ Channel draws mirror channel.initial_state, channel.channel_step and
 channel.iid_channel exactly (one uniform for the stationary initial regime,
 then two per slot; an iid channel draws one per slot).  The engine draws each
 channel's stream in fixed blocks of RECEPTION_BLOCK slots and advances every
-channel of the batch by one slot per step, so it never holds a whole-run
-reception tensor; a stream yields the same uniforms in the same order however
-it is split into calls.  Each drawn tile is compared against the channel's
-thresholds while it is in cache, and only its boolean planes are transposed.
+channel of the batch by one slot per step, so a batch never holds a whole-run
+reception tensor (a lone run keeps its one pairs x slots mask); a stream
+yields the same uniforms in the same order however it is split into calls.
+Each drawn tile is compared against the channel's thresholds while it is in
+cache, and only its boolean planes are transposed.
 
 A batch is held vehicle-major: x, v, a are (vehicles, realizations) arrays and
 the spacing errors (followers, realizations), so every neighbour difference
@@ -28,12 +29,19 @@ rows.sum(axis=0); they reduce SUM_BLOCK grid points at a time, which gives the
 same bits with fewer, wider reductions.
 
 One realization with no per-step hook (simulate, bound, the deterministic
-equivalent of validate-mean) steps on Python floats instead, where numpy's
-per-call cost would dwarf six-element arrays.  Every step operation is a
-binary64 +, -, *, comparison, max/min or select, rounded correctly and
-uncontracted by both numpy and CPython, and the float loop keeps the batched
-loop's operand order, so it gives the same bits.  Batch size alone selects
-the loop.
+equivalent of validate-mean) runs on Python floats instead, where numpy's
+per-call cost would dwarf six-element arrays, and vehicle by vehicle: follower
+i reads only vehicle i-1 and itself, so the leader runs its whole horizon
+first and each follower then runs its whole horizon against its predecessor's
+finished rows.  Every step operation is a binary64 +, -, *, comparison,
+max/min or select, rounded correctly and uncontracted by both numpy and
+CPython, and each vehicle keeps the batched loop's operations and operand
+order, so it gives the same bits.  A collision, the one backward coupling,
+also freezes the pair's front vehicle: the vehicles then run in passes, each
+ending at the earliest overlap, where the overlapping pairs freeze and the
+next pass restarts from the lower of the first frozen pair's front vehicle
+and the first vehicle whose run ended early.  Batch size alone selects the
+loop.
 
 scipy.special is imported only where it is called: by a truncated-normal
 decel draw and by the mean-trajectory test.  Before a pool forks, the parent
@@ -50,9 +58,9 @@ import math
 import multiprocessing
 import os
 import sys
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, ClassVar, Literal
 
 import numpy as np
@@ -511,13 +519,15 @@ def _simulate_batch(
 
 
 def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
-    """_simulate_batch for one realization and no on_step hook, stepped on Python floats.
+    """_simulate_batch for one realization and no on_step hook, run vehicle by vehicle on Python floats.
 
-    Each step does the batched loop's arithmetic in the same operand order:
-    leader command, feed-forward, control law, clamp, ZOH update, stop clamp,
-    collision freezing, overlap test.  Every one of those is a binary64 +, -,
-    *, comparison, max/min or select, which numpy's ufuncs and CPython's
-    floats both round correctly and neither contracts into a fused
+    Follower i reads only vehicle i-1 and itself, so the leader runs its
+    whole horizon first, and each follower then runs its whole horizon
+    against its predecessor's finished x, v, a rows.  Each vehicle does the
+    batched loop's arithmetic in the same operand order: leader command or
+    control law, clamp, ZOH update, stop clamp.  Every one of those is a
+    binary64 +, -, *, comparison, max/min or select, which numpy's ufuncs and
+    CPython's floats both round correctly and neither contracts into a fused
     multiply-add, so every value keeps the batched loop's bits.  Three spots
     where a naive port would differ:
     - without feed-forward (ACC) the law is 0.0 - k_v*dv - k_p*e; -k_v*dv
@@ -526,89 +536,134 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
     - the deterministic channel forms (k_a*gamma)*a, which rounds unlike
       k_a*(gamma*a).
     A command's signed zero reaches a state only when every other term of
-    its update is -0.0 too; the loop keeps them all the same.  The overlap
-    test is detect_collisions' comparison, pair by pair.  Trajectories go
-    into flat float64 buffers, not lists of Python floats.
+    its update is -0.0 too; the loop keeps them all the same.  The spacing
+    errors are x[1:] - x[:-1] + d + hw*v[1:] on the finished rows.
+
+    A collision, the one backward coupling, also freezes the pair's front
+    vehicle, so the vehicles run in passes from a step k0, at first 0.  While
+    follower i runs, it tests its pair (i-1, i) with detect_collisions'
+    comparison; its first overlap ends its run and lowers `stop`, the step
+    every later vehicle runs up to, so each vehicle's rows are final up to
+    the earliest overlap.  At the end of a pass every open pair that overlaps
+    at `stop` freezes, in pair order: its event is logged and its v, a are
+    zeroed there.  The next pass starts at `stop` from the lower of two
+    vehicles: the front vehicle of the first frozen pair, whose later rows no
+    longer hold, and the first vehicle whose run ended before the horizon,
+    whose later rows are missing (a rear pair can close before a front pair
+    that hit first).
+
+    At most two vehicles' rows are Python lists at a time; the rows go into
+    one (x/v/a, vehicle, step) float64 buffer whose transposed view is the
+    states.
     """
     M, F, T = sc.n_vehicles, sc.n_followers, sc.n_steps
     cfg = sc.controller
     dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
     k_a, k_v, k_p = cfg.k_a, cfg.k_v, cfg.k_p
     c_aa, c_au, c_va, c_vu, c_xa, c_xu = zoh_coefficients(tau, dt)
+    accel_limit, length, leader = sc.params.accel_limit, sc.params.length, sc.leader
 
-    recv = None
+    got = None
     if cfg.mode == "cacc" and sc.channel.kind in ("gilbert", "iid"):
-        recv = _receptions(sc.channel, sc.base_seed, indices, F, T)
+        # the whole run's receptions, (pairs, slots): F * T bools
+        got = np.array([m.ravel() for m in _receptions(sc.channel, sc.base_seed, indices, F, T)]).T
     ka_w = k_a * (sc.channel.effective_gamma() if cfg.mode == "cacc" else 0.0)
 
     limits = _decel_limits(sc, indices)
     floor = (-limits[0]).tolist()
-    accel_limit, length = sc.params.accel_limit, sc.params.length
 
-    x = [0.0] * M
-    for i in range(1, M):
-        x[i] = x[i - 1] - d - hw * sc.initial_speed
-    v = [float(sc.initial_speed)] * M
-    a = [0.0] * M
-    u = [0.0] * M
+    buf = np.empty((3, M, T + 1))
+    x = 0.0
+    for i in range(M):
+        buf[0, i, 0] = x
+        x = x - d - hw * sc.initial_speed
+    buf[1, :, 0] = float(sc.initial_speed)
+    buf[2, :, 0] = 0.0
     frozen = [False] * M
     open_pairs = [True] * F
     events: list[tuple[float, int, int]] = []
-    pairs, followers, vehicles = range(F), range(1, M), range(M)
-    # (step, x/v/a, vehicle) rows, returned as a (step, vehicle, x/v/a) view: no copy
-    st, es = array("d"), array("d")
 
-    e = [x[i] - x[i - 1] + d + hw * v[i] for i in followers]
-    for k in range(T + 1):
-        st.extend(x)
-        st.extend(v)
-        st.extend(a)
-        es.extend(e)
-        if k == T:
-            break
+    def run(i, k0, stop, pred):
+        """Vehicle i from step k0 up to stop, or up to its pair's first overlap; returns (end, its x, v rows).
 
-        u[0] = leader_command(sc.leader, k * dt, v[0], floor[0])
-        got = next(recv).ravel().tolist() if recv is not None else None
-        for i in followers:
+        pred holds the predecessor's x and v rows from k0 on, as lists.
+        """
+        x, v, a = buf[:, i, k0].tolist()
+        n = stop - k0
+        test = i > 0 and open_pairs[i - 1]
+        if i > 0:
+            xp, vp = pred
             if got is not None:
-                ff = k_a * a[i - 1] if got[i - 1] else 0.0
+                ff = np.where(got[i - 1, k0:stop], k_a * buf[2, i - 1, k0:stop], 0.0).tolist()
             elif ka_w != 0.0:
-                ff = ka_w * a[i - 1]
+                ff = (ka_w * buf[2, i - 1, k0:stop]).tolist()
             else:
-                ff = 0.0
-            u[i] = ff - k_v * (v[i] - v[i - 1]) - k_p * e[i - 1]
-
-        for i in vehicles:
-            if frozen[i]:
-                continue
-            ui, xi, vi, ai = u[i], x[i], v[i], a[i]
-            # np.maximum, then np.minimum: a nan command stays nan
-            if ui < floor[i]:
-                ui = floor[i]
-            if ui > accel_limit:
-                ui = accel_limit
-            v_n = vi + ai * c_va + ui * c_vu
+                ff = [0.0] * n
+            ahead = islice(xp, 1, n + 1)
+        else:   # the leader reads no predecessor
+            xp = vp = ff = ahead = [0.0] * n
+        if frozen[i]:
+            end = stop
+            if test:
+                end = next((k0 + j for j, xq in enumerate(ahead, 1) if xq - x - length <= 0.0), stop)
+            buf[0, i, k0 + 1 : end + 1] = x
+            buf[1:, i, k0 + 1 : end + 1] = 0.0
+            return end, ([x] * (end - k0 + 1), [0.0] * (end - k0 + 1))
+        xs, vs, as_ = [x], [v], [a]
+        fl = floor[i]
+        k = k0
+        for xq, vq, f, xq_next in zip(xp, vp, ff, ahead):
+            if i:
+                u = f - k_v * (v - vq) - k_p * (x - xq + d + hw * v)
+            else:
+                u = leader_command(leader, k * dt, v, fl)
+            k += 1
+            # np.maximum, then np.minimum: a nan command stays nan (fl < 0 < accel_limit)
+            if u < fl:
+                u = fl
+            elif u > accel_limit:
+                u = accel_limit
+            v_n = v + a * c_va + u * c_vu
             if v_n < 0.0:
-                if vi != 0.0 or ai != 0.0:
-                    s = stop_crossing_time(vi, ai, ui, tau, dt)
-                    x[i] = xi + _position_delta_at(vi, ai, ui, tau, s)
-                v[i] = a[i] = 0.0
+                if v != 0.0 or a != 0.0:
+                    x = x + _position_delta_at(v, a, u, tau, stop_crossing_time(v, a, u, tau, dt))
+                v = a = 0.0
             else:
-                x[i] = xi + vi * dt + ai * c_xa + ui * c_xu
-                v[i] = v_n
-                a[i] = ai * c_aa + ui * c_au
+                x = x + v * dt + a * c_xa + u * c_xu
+                v = v_n
+                a = a * c_aa + u * c_au
+            xs.append(x)
+            vs.append(v)
+            as_.append(a)
+            if test and xq_next - x - length <= 0.0:
+                break
+        buf[0, i, k0 : k + 1] = xs
+        buf[1, i, k0 : k + 1] = vs
+        buf[2, i, k0 : k + 1] = as_
+        return k, (xs, vs)
 
-        hit = [p for p in pairs if open_pairs[p] and x[p] - x[p + 1] - length <= 0.0]
-        for p in hit:
+    k0, first = 0, 0
+    while k0 < T:
+        stop, early = T, M
+        pred = buf[:2, first - 1, k0:].tolist() if first else None
+        for i in range(first, M):
+            end, pred = run(i, k0, stop, pred)
+            if end < T and early == M:
+                early = i
+            stop = end
+        at_stop = buf[0, :, stop].tolist()
+        hits = [p for p in range(F) if open_pairs[p] and at_stop[p] - at_stop[p + 1] - length <= 0.0]
+        if not hits:
+            break
+        for p in hits:
             open_pairs[p] = False
-            events.append(((k + 1) * dt, p, p + 1))
+            events.append((stop * dt, p, p + 1))
             frozen[p] = frozen[p + 1] = True
-            v[p] = a[p] = v[p + 1] = a[p + 1] = 0.0
+            buf[1:, p : p + 2, stop] = 0.0
+        k0, first = stop, min(hits[0], early)
 
-        e = [x[i] - x[i - 1] + d + hw * v[i] for i in followers]
-
-    states = np.frombuffer(st).reshape(1, T + 1, 3, M).transpose(0, 1, 3, 2)
-    return np.frombuffer(es).reshape(1, T + 1, F), states, [events], limits
+    e = buf[0, 1:] - buf[0, :-1] + d + hw * buf[1, 1:]
+    return e.T[None], buf.T[None], [events], limits
 
 
 def _chunks(indices) -> list[np.ndarray]:
@@ -771,8 +826,9 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     replaced by its expectation.  Requires fixed deceleration limits (the
     equivalence claim concerns channel randomness only).
     """
-    if not 1 <= n_realizations <= _COUNT_MAX:
-        raise ConfigError(f"n_realizations must be in [1, {_COUNT_MAX}], got {n_realizations}")
+    # one sample has no spread: its envelope would be zero and test nothing
+    if not 2 <= n_realizations <= _COUNT_MAX:
+        raise ConfigError(f"n_realizations must be in [2, {_COUNT_MAX}], got {n_realizations}")
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
     # imported before the run allocates its arrays: imported after them, it leaves the heap fragmented

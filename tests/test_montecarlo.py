@@ -485,6 +485,41 @@ class TestOneRealizationLoop:
             assert np.array_equal(alone.spacing_errors, errors)
             assert alone.collision_events == tuple(events)
 
+    # the orders in which a lone run's passes meet collisions, read off a
+    # run's (time, lead, follower) events
+    RESTART_CASES = {
+        "rear pair closes before a front pair":
+            lambda evs: any(t2 < t1 and p2 > p1 for t1, p1, _ in evs for t2, p2, _ in evs),
+        "two pairs close at the same step": lambda evs: len({t for t, _, _ in evs}) < len(evs),
+        "a follower runs into a frozen pair":
+            lambda evs: any(t2 < t1 and p2 == p1 - 1 for t1, p1, _ in evs for t2, p2, _ in evs),
+    }
+
+    @pytest.mark.parametrize("case", RESTART_CASES)
+    @pytest.mark.parametrize("mode", ["acc", "cacc"])
+    def test_restarts_match_batch_of_three(self, case, mode):
+        # short headways and gaps behind a leader braking at its limit: most
+        # runs pile up; a 0.1 s step makes two pairs close at one step
+        sc = crash_study(
+            controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=0.6, mode=mode),
+            channel=ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.3, 0.1, 0.2)),
+            decel_dist=DecelDistribution(kind="truncnorm", mean=7.0, std=1.5, low=3.0, high=9.5),
+            standstill_gap=3.0,
+            dt=0.1,
+            realizations=300,
+        )
+        shows = self.RESTART_CASES[case]
+        found = [r.index for r in run_realizations(sc, range(300)) if shows(r.collision_events)]
+        # the case under test happens
+        assert found
+        for r in found[:4]:
+            alone = run_realization(sc, r)
+            batched = run_realizations(sc, [r, r + 1, r + 2])[0]
+            assert shows(alone.collision_events)
+            assert alone.states.tobytes() == batched.states.tobytes()
+            assert alone.spacing_errors.tobytes() == batched.spacing_errors.tobytes()
+            assert alone.collision_events == batched.collision_events
+
 
 class TestSafetyStudy:
     def test_streaming_matches_aggregate(self):
@@ -657,6 +692,12 @@ class TestMeanValidation:
         )
         with pytest.raises(ConfigError):
             validate_mean_trajectory(sc, 10)
+
+    def test_one_realization_rejected(self):
+        # one sample gives sigma = 0 everywhere: the envelope test would never run
+        sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.5))
+        with pytest.raises(ConfigError, match=r"^n_realizations must be in \[2, "):
+            validate_mean_trajectory(sc, 1)
 
     def test_family_alpha_is_two_sided_three_sigma(self):
         import scipy.special

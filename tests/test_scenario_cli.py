@@ -393,9 +393,12 @@ class TestCli:
         (["montecarlo", str(SCENARIOS / "safety.scn"), "--realizations", "0"],
          "config error: realizations must be in [1, "),
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "100000000000000000000000"],
-         "config error: n_realizations must be in [1, "),
+         "config error: n_realizations must be in [2, "),
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "0"],
-         "config error: n_realizations must be in [1, "),
+         "config error: n_realizations must be in [2, "),
+        # one sample has no spread: its envelope is zero and would test nothing
+        (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "1"],
+         "config error: n_realizations must be in [2, "),
         (["headway", "--tau", "0.5", "--ka", "0.4"], "--gamma or --gilbert"),
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5", "--gilbert", "0.3", "0.1", "0.2"],
          "--gamma or --gilbert"),
@@ -429,7 +432,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command, scenario, prefix", [
         ("montecarlo", "safety.scn", "realizations must be in [1, "),
-        ("validate-mean", "fig3.scn", "n_realizations must be in [1, "),
+        ("validate-mean", "fig3.scn", "n_realizations must be in [2, "),
     ])
     @pytest.mark.parametrize("realizations", [2**63 - 1, 2**62])
     def test_realizations_past_an_index_array_are_config_error(self, tmp_path, capsys, command, scenario, prefix,

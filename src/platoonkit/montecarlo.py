@@ -37,11 +37,11 @@ finished rows.  Every step operation is a binary64 +, -, *, comparison,
 max/min or select, rounded correctly and uncontracted by both numpy and
 CPython, and each vehicle keeps the batched loop's operations and operand
 order, so it gives the same bits.  A collision, the one backward coupling,
-also freezes the pair's front vehicle: the vehicles then run in passes, each
-ending at the earliest overlap, where the overlapping pairs freeze and the
-next pass restarts from the lower of the first frozen pair's front vehicle
-and the first vehicle whose run ended early.  Batch size alone selects the
-loop.
+also freezes the pair's front vehicle: the vehicles then run in passes to
+the horizon, each checked afterwards by one detect_collisions call, whose
+first overlap freezes the pairs that overlap there; the next pass restarts
+from that step and from the first frozen pair's front vehicle.  Batch size
+alone selects the loop.
 
 scipy.special is imported only where it is called: by a truncated-normal
 decel draw and by the mean-trajectory test.  Before a pool forks, the parent
@@ -60,7 +60,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, ClassVar, Literal
 
 import numpy as np
@@ -435,7 +434,6 @@ def _simulate_batch(
         x[i] = x[i - 1] - d - hw * sc.initial_speed
 
     frozen = np.zeros((M, R), dtype=bool)
-    x_frozen = np.zeros((M, R))
     any_frozen = False                   # until the first collision, holding frozen vehicles is a no-op
     open_pairs = np.ones((F, R), dtype=bool)
     events: list[list[tuple[float, int, int]]] = [[] for _ in range(R)]
@@ -491,7 +489,8 @@ def _simulate_batch(
             a_n = np.where(neg, 0.0, a_n)
 
         if any_frozen:
-            x = np.where(frozen, x_frozen, x_n)
+            # a frozen vehicle's x never changes after it freezes
+            x = np.where(frozen, x, x_n)
             v = np.where(frozen, 0.0, v_n)
             a = np.where(frozen, 0.0, a_n)
         else:
@@ -503,12 +502,8 @@ def _simulate_batch(
             open_pairs &= ~hit
             for p, r in zip(*np.nonzero(hit)):
                 events[r].append((t_hit, int(p), int(p) + 1))
-            fz = np.zeros((M, R), dtype=bool)
-            fz[:-1] |= hit
-            fz[1:] |= hit
-            new = fz & ~frozen
-            x_frozen = np.where(new, x, x_frozen)
-            frozen |= fz
+            frozen[:-1] |= hit
+            frozen[1:] |= hit
             any_frozen = True
             v = np.where(frozen, 0.0, v)
             a = np.where(frozen, 0.0, a)
@@ -540,17 +535,19 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
     errors are x[1:] - x[:-1] + d + hw*v[1:] on the finished rows.
 
     A collision, the one backward coupling, also freezes the pair's front
-    vehicle, so the vehicles run in passes from a step k0, at first 0.  While
-    follower i runs, it tests its pair (i-1, i) with detect_collisions'
-    comparison; its first overlap ends its run and lowers `stop`, the step
-    every later vehicle runs up to, so each vehicle's rows are final up to
-    the earliest overlap.  At the end of a pass every open pair that overlaps
-    at `stop` freezes, in pair order: its event is logged and its v, a are
-    zeroed there.  The next pass starts at `stop` from the lower of two
-    vehicles: the front vehicle of the first frozen pair, whose later rows no
-    longer hold, and the first vehicle whose run ended before the horizon,
-    whose later rows are missing (a rear pair can close before a front pair
-    that hit first).
+    vehicle, so the vehicles run in passes from a step k0, at first 0, with
+    no collision test inside the step loop.  A pass runs every vehicle from
+    `first`, at first the leader, to the horizon; one detect_collisions call
+    on the rows after k0 then gives the next collision step S, the first
+    step at which an open pair overlaps.  This is exact: a row depends only
+    on the rows ahead of it and on collisions, so at the end of a pass each
+    row differs from the true trajectory only after the next collision.
+    Every row is thus final up to S, and the call finds at S the hit the
+    batched loop computes there.  Every pair that overlaps at S freezes, in
+    pair order: its event is logged and its v, a are zeroed there.  The next
+    pass starts at S from the front vehicle of the first frozen pair, whose
+    later rows no longer hold; the vehicles ahead of it read nothing behind
+    them, so their rows stay.  A pass that finds no overlap ends the run.
 
     At most two vehicles' rows are Python lists at a time; the rows go into
     one (x/v/a, vehicle, step) float64 buffer whose transposed view is the
@@ -561,7 +558,7 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
     dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
     k_a, k_v, k_p = cfg.k_a, cfg.k_v, cfg.k_p
     c_aa, c_au, c_va, c_vu, c_xa, c_xu = zoh_coefficients(tau, dt)
-    accel_limit, length, leader = sc.params.accel_limit, sc.params.length, sc.leader
+    accel_limit, leader = sc.params.accel_limit, sc.leader
 
     got = None
     if cfg.mode == "cacc" and sc.channel.kind in ("gilbert", "iid"):
@@ -571,6 +568,7 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
 
     limits = _decel_limits(sc, indices)
     floor = (-limits[0]).tolist()
+    lengths = np.full(M, sc.params.length)
 
     buf = np.empty((3, M, T + 1))
     x = 0.0
@@ -580,44 +578,37 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
     buf[1, :, 0] = float(sc.initial_speed)
     buf[2, :, 0] = 0.0
     frozen = [False] * M
-    open_pairs = [True] * F
+    open_pairs = np.ones(F, dtype=bool)
     events: list[tuple[float, int, int]] = []
 
-    def run(i, k0, stop, pred):
-        """Vehicle i from step k0 up to stop, or up to its pair's first overlap; returns (end, its x, v rows).
+    def run(i, k0, pred):
+        """Vehicle i from step k0 to the horizon; returns its x, v rows from k0 on, as lists.
 
         pred holds the predecessor's x and v rows from k0 on, as lists.
         """
         x, v, a = buf[:, i, k0].tolist()
-        n = stop - k0
-        test = i > 0 and open_pairs[i - 1]
+        n = T - k0
+        if frozen[i]:
+            buf[0, i, k0 + 1 :] = x
+            buf[1:, i, k0 + 1 :] = 0.0
+            return [x] * (n + 1), [0.0] * (n + 1)
         if i > 0:
             xp, vp = pred
             if got is not None:
-                ff = np.where(got[i - 1, k0:stop], k_a * buf[2, i - 1, k0:stop], 0.0).tolist()
+                ff = np.where(got[i - 1, k0:], k_a * buf[2, i - 1, k0:T], 0.0).tolist()
             elif ka_w != 0.0:
-                ff = (ka_w * buf[2, i - 1, k0:stop]).tolist()
+                ff = (ka_w * buf[2, i - 1, k0:T]).tolist()
             else:
                 ff = [0.0] * n
-            ahead = islice(xp, 1, n + 1)
         else:   # the leader reads no predecessor
-            xp = vp = ff = ahead = [0.0] * n
-        if frozen[i]:
-            end = stop
-            if test:
-                end = next((k0 + j for j, xq in enumerate(ahead, 1) if xq - x - length <= 0.0), stop)
-            buf[0, i, k0 + 1 : end + 1] = x
-            buf[1:, i, k0 + 1 : end + 1] = 0.0
-            return end, ([x] * (end - k0 + 1), [0.0] * (end - k0 + 1))
+            xp = vp = ff = [0.0] * n
         xs, vs, as_ = [x], [v], [a]
         fl = floor[i]
-        k = k0
-        for xq, vq, f, xq_next in zip(xp, vp, ff, ahead):
+        for k, xq, vq, f in zip(range(k0, T), xp, vp, ff):
             if i:
                 u = f - k_v * (v - vq) - k_p * (x - xq + d + hw * v)
             else:
                 u = leader_command(leader, k * dt, v, fl)
-            k += 1
             # np.maximum, then np.minimum: a nan command stays nan (fl < 0 < accel_limit)
             if u < fl:
                 u = fl
@@ -635,32 +626,26 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
             xs.append(x)
             vs.append(v)
             as_.append(a)
-            if test and xq_next - x - length <= 0.0:
-                break
-        buf[0, i, k0 : k + 1] = xs
-        buf[1, i, k0 : k + 1] = vs
-        buf[2, i, k0 : k + 1] = as_
-        return k, (xs, vs)
+        buf[0, i, k0:] = xs
+        buf[1, i, k0:] = vs
+        buf[2, i, k0:] = as_
+        return xs, vs
 
-    k0, first = 0, 0
-    while k0 < T:
-        stop, early = T, M
+    k0 = first = 0
+    while True:
         pred = buf[:2, first - 1, k0:].tolist() if first else None
         for i in range(first, M):
-            end, pred = run(i, k0, stop, pred)
-            if end < T and early == M:
-                early = i
-            stop = end
-        at_stop = buf[0, :, stop].tolist()
-        hits = [p for p in range(F) if open_pairs[p] and at_stop[p] - at_stop[p + 1] - length <= 0.0]
-        if not hits:
+            pred = run(i, k0, pred)
+        steps, pairs = np.nonzero(detect_collisions(buf[0, :, k0 + 1 :].T, lengths) & open_pairs)
+        if not len(steps):
             break
+        hits = pairs[steps == steps[0]].tolist()
+        k0, first = k0 + 1 + int(steps[0]), hits[0]
         for p in hits:
             open_pairs[p] = False
-            events.append((stop * dt, p, p + 1))
+            events.append((k0 * dt, p, p + 1))
             frozen[p] = frozen[p + 1] = True
-            buf[1:, p : p + 2, stop] = 0.0
-        k0, first = stop, min(hits[0], early)
+            buf[1:, p : p + 2, k0] = 0.0
 
     e = buf[0, 1:] - buf[0, :-1] + d + hw * buf[1, 1:]
     return e.T[None], buf.T[None], [events], limits

@@ -520,6 +520,29 @@ class TestOneRealizationLoop:
             assert alone.spacing_errors.tobytes() == batched.spacing_errors.tobytes()
             assert alone.collision_events == batched.collision_events
 
+    @pytest.mark.parametrize("case", ["every pair overlaps at the first step", "the first collision is at the last step"])
+    def test_collisions_at_the_horizon_ends_match_batch_of_three(self, case):
+        if case == "every pair overlaps at the first step":
+            # standstill_gap + h_w * initial_speed < length: the string starts overlapped
+            sc = small_scenario(standstill_gap=1.0, initial_speed=10.0, duration=1.0,
+                                controller=ControllerConfig(k_a=0.4, k_v=1.0, k_p=0.8, h_w=0.1))
+            r, k_hit = 0, 1
+        else:
+            sc = crash_study()
+            r = next(run.index for run in run_realizations(sc, range(40)) if run.collided)
+            # the horizon ends at the run's first collision step
+            sc = dataclasses.replace(sc, duration=run_realization(sc, r).collision_events[0][0])
+            k_hit = sc.n_steps
+        alone = run_realization(sc, r)
+        batched = run_realizations(sc, [r, r + 1, r + 2])[0]
+        assert alone.collision_events
+        assert all(t == k_hit * sc.dt for t, _, _ in alone.collision_events)
+        if k_hit == 1:
+            assert [pair for _, *pair in alone.collision_events] == [[p, p + 1] for p in range(sc.n_followers)]
+        assert alone.states.tobytes() == batched.states.tobytes()
+        assert alone.spacing_errors.tobytes() == batched.spacing_errors.tobytes()
+        assert alone.collision_events == batched.collision_events
+
 
 class TestSafetyStudy:
     def test_streaming_matches_aggregate(self):

@@ -342,8 +342,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -10,9 +10,9 @@ usual peak condition ||H||_inf <= 1.  The bound machinery chains the per-hop
 L2 relation through a Lyapunov-based L2->Linf gain to dominate the maximum
 spacing error of every vehicle by a constant independent of string length.
 
-scipy.linalg is imported inside the three functions that call it
-(lyapunov_solve, impulse_l1, _eta_sup), so a command that never reaches them,
-such as stability, loads only numpy.
+The bound's matrix exponentials (_expm) and Lyapunov solves (lyapunov_solve)
+act on the 3x3 error system and are written on numpy alone, so this module
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .control import ControllerConfig, min_headway
 from .errors import (
     InvalidInputError,
     NonHurwitzError,
+    NumericalError,
     PoleOnAxisError,
     UnstableLoopError,
 )
@@ -290,6 +291,67 @@ def _propagate(row: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
     return rows
 
 
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited" (SIAM J. Matrix Anal. Appl. 26(4), 2005): for each diagonal Pade
+# degree m, the largest 1-norm at which r_m(M) is exp(M) to binary64 accuracy,
+# and r_m's numerator coefficients b_0..b_m (r_m = (V - U)^-1 (V + U) with U
+# the odd and V the even part).
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 5.371920351148152}
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+        110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+}
+# Rows of coefficients that combine the even powers I, M^2, M^4, ...: for
+# m <= 9 the odd factor of U and V; for m = 13 (powers up to M^6) the high
+# and low halves of each, as U = M (M^6 U_hi + U_lo), V = M^6 V_hi + V_lo.
+_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, b in _PADE_B.items() if m < 13}
+_PADE_ROWS[13] = np.array([(0.0,) + _PADE_B[13][9::2], _PADE_B[13][1:9:2],
+                           (0.0,) + _PADE_B[13][8::2], _PADE_B[13][0:8:2]])
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) of a square float matrix by scaling and squaring (Higham 2005).
+
+    The lowest Pade degree whose theta covers ||M||_1 is used unscaled;
+    beyond theta_13, M is divided by the least power of two 2^s that brings
+    it within theta_13, r_13 is applied and the result squared s times.  A
+    zero matrix returns np.eye(n) at once: exactly exp(0), which _eta_sup
+    asks for on every pass whose bracket starts at t = 0.  Raises
+    NumericalError on a non-finite input or result.
+    """
+    norm = float(np.abs(M).sum(axis=0).max())
+    if not math.isfinite(norm):
+        raise NumericalError("matrix exponential of a non-finite matrix")
+    n = M.shape[0]
+    if norm == 0.0:
+        return np.eye(n)
+    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    M = M * 2.0 ** -s
+    powers = [np.eye(n), M @ M]
+    while len(powers) < _PADE_ROWS[m].shape[1]:
+        powers.append(powers[-1] @ powers[1])
+    W = (_PADE_ROWS[m] @ np.array(powers).reshape(len(powers), -1)).reshape(-1, n, n)
+    if m == 13:
+        U, V = M @ (powers[3] @ W[0] + W[1]), powers[3] @ W[2] + W[3]
+    else:
+        U, V = M @ W[0], W[1]
+    E = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below
+        for _ in range(s):
+            E = E @ E
+    if not np.isfinite(E).all():
+        raise NumericalError(f"matrix exponential overflowed (||M||_1 = {norm:.6g})")
+    return E
+
+
 def impulse_l1(tf: TransferFunction) -> float:
     """L1 norm of the impulse response, integrated from a state-space simulation.
 
@@ -308,21 +370,33 @@ def impulse_l1(tf: TransferFunction) -> float:
     horizon = 40.0 * t_slow
     dt = min(t_fast / 50.0, horizon / 2000.0)
     n_steps = int(math.ceil(horizon / dt))
-    import scipy.linalg
-    h = _propagate(C[0], scipy.linalg.expm(A * dt), n_steps + 1) @ B[:, 0]
+    h = _propagate(C[0], _expm(A * dt), n_steps + 1) @ B[:, 0]
     return float(np.trapezoid(np.abs(h), dx=dt)) + abs(d_term)
+
+
+# lyapunov_solve's largest order: its Kronecker system holds n^4 floats,
+# 8 MB at n = 32 (12.8 GB at n = 200).
+LYAPUNOV_MAX_ORDER = 32
 
 
 def lyapunov_solve(A: np.ndarray, Qm: np.ndarray) -> np.ndarray:
     """Unique P >= 0 with A P + P A^T + Qm = 0, for Hurwitz A and PSD symmetric Qm.
 
-    Backed by the Bartels-Stewart solver; the residual is checked against
-    1e-9 * ||Qm|| and the result symmetrized.
+    Solves the Kronecker form (A (x) I + I (x) A) vec(P) = -vec(Qm), an
+    n^2 x n^2 dense system: O(n^6) time and n^4 floats, so orders above
+    LYAPUNOV_MAX_ORDER are rejected before anything is allocated.  The
+    residual is checked against 1e-9 * ||Qm|| and the result symmetrized.
     """
     A = np.asarray(A, dtype=float)
     Qm = np.asarray(Qm, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape != Qm.shape:
         raise InvalidInputError("A and Qm must be square matrices of equal shape")
+    n = A.shape[0]
+    if n > LYAPUNOV_MAX_ORDER:
+        raise InvalidInputError(
+            f"A has order {n}; lyapunov_solve takes at most {LYAPUNOV_MAX_ORDER} "
+            f"(its Kronecker system holds n^4 floats)"
+        )
     if not np.allclose(Qm, Qm.T, atol=1e-12 * max(1.0, float(np.abs(Qm).max()))):
         raise InvalidInputError("Qm must be symmetric")
     eigs = np.linalg.eigvals(A)
@@ -330,8 +404,10 @@ def lyapunov_solve(A: np.ndarray, Qm: np.ndarray) -> np.ndarray:
         raise NonHurwitzError(
             f"A is not Hurwitz (max Re eig = {np.max(eigs.real):.6g}); no unique PSD solution"
         )
-    import scipy.linalg
-    P = scipy.linalg.solve_continuous_lyapunov(A, -Qm)
+    # kron(A, I) + kron(I, A) by broadcasting: K[(i,j),(k,l)] = A_ik d_jl + d_ik A_jl
+    eye = np.eye(n)
+    K = A[:, None, :, None] * eye[None, :, None, :] + eye[:, None, :, None] * A[None, :, None, :]
+    P = np.linalg.solve(K.reshape(n * n, n * n), -Qm.reshape(-1)).reshape(n, n)
     P = 0.5 * (P + P.T)
     q_norm = float(np.linalg.norm(Qm))
     residual = float(np.linalg.norm(A @ P + P @ A.T + Qm))
@@ -428,14 +504,13 @@ def _eta_sup(A0: np.ndarray, C: np.ndarray) -> float:
     Time is counted in steps h of a linear grid of ETA_STEPS steps, and
     _grid_sup searches it.  Every grid it evaluates is uniform, so the rows
     C exp(A0 t) on one are a start row carried on by powers of one step
-    exponential: two expm calls and a doubling propagation per evaluation.
+    exponential: two _expm calls and a doubling propagation per evaluation.
     """
-    import scipy.linalg
     h = 40.0 / np.abs(np.linalg.eigvals(A0).real).min() / ETA_STEPS
 
     def row_norms(u: np.ndarray) -> np.ndarray:
-        start = C[0] @ scipy.linalg.expm(A0 * (h * u[0]))
-        step = scipy.linalg.expm(A0 * (h * (u[-1] - u[0]) / (u.size - 1)))
+        start = C[0] @ _expm(A0 * (h * u[0]))
+        step = _expm(A0 * (h * (u[-1] - u[0]) / (u.size - 1)))
         return np.linalg.norm(_propagate(start, step, u.size), axis=1)
 
     return _grid_sup(row_norms, np.arange(ETA_STEPS + 1.0))[0]

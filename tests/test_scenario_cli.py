@@ -751,6 +751,17 @@ class TestCli:
         assert main(["simulate", str(scn), "--out", str(tmp_path / "b")]) == EXIT_RESOURCES
         assert capsys.readouterr().err == "resource error: out of memory\n"
 
+    @pytest.mark.parametrize("error", [OverflowError("math range error"), ZeroDivisionError(), FloatingPointError("overflow")])
+    def test_arithmetic_error_exits_numerical(self, tmp_path, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_realization", fail)
+        scn = short_safety(tmp_path, 2)
+        capsys.readouterr()
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical error: {str(error) or type(error).__name__}\n"
+
     def test_forked_workers_warn_nothing(self, tmp_path):
         scn = short_safety(tmp_path, 2)
         src = Path(platoonkit.__file__).resolve().parent.parent
@@ -770,8 +781,8 @@ class TestCli:
         return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
                               timeout=300)
 
-    def test_commands_without_a_solve_import_no_scipy(self, tmp_path):
-        """Only lyapunov_solve, impulse_l1, _eta_sup and the normal-distribution helpers import scipy."""
+    def test_commands_without_normal_draws_import_no_scipy(self, tmp_path):
+        """Only the normal-distribution helpers import scipy; bound on fig3 (fixed decel limits) loads none."""
         script = """if True:
             import sys
             from pathlib import Path
@@ -781,7 +792,8 @@ class TestCli:
                 platoonkit.scenario.load_scenario(scenarios / name)
             for argv in (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5"],
                          ["stability", str(scenarios / "fig2.scn")],
-                         ["simulate", str(scenarios / "fig3.scn")]):
+                         ["simulate", str(scenarios / "fig3.scn")],
+                         ["bound", str(scenarios / "fig3.scn")]):
                 assert platoonkit.cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         """

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +10,19 @@ from platoonkit.control import ControllerConfig, min_headway
 from platoonkit.errors import (
     InvalidInputError,
     NonHurwitzError,
+    NumericalError,
     PoleOnAxisError,
     UnstableLoopError,
 )
+from platoonkit.scenario import load_scenario
 from platoonkit.stability import (
     ETA_STEPS,
+    LYAPUNOV_MAX_ORDER,
     OMEGA_GRID,
     ErrorSystem,
     TransferFunction,
     _eta_sup,
+    _expm,
     build_error_system,
     cacc_error_tf,
     freq_response_mag,
@@ -32,6 +37,7 @@ from platoonkit.stability import (
 )
 
 FIG_GAINS = dict(k_a=0.4, k_v=1.0, k_p=0.8)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def quad_peak_oracle(cfg: ControllerConfig, tau: float, gamma: float) -> float:
@@ -321,17 +327,23 @@ class TestLyapunov:
         assert np.allclose(P, 0.5 * np.eye(2), atol=1e-12)
 
     def test_random_hurwitz_residual(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            n = rng.integers(2, 6)
-            A = rng.normal(size=(n, n))
-            A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.3, 1.5)) * np.eye(n)
-            B = rng.normal(size=(n, 2))
-            Q = B @ B.T
+        for A, Q in random_lyapunov_cases():
             P = lyapunov_solve(A, Q)
             assert np.linalg.norm(A @ P + P @ A.T + Q) <= 1e-9 * np.linalg.norm(Q)
             assert np.allclose(P, P.T, atol=1e-12)
             assert np.linalg.eigvalsh(P).min() >= -1e-10
+
+    def test_matches_scipy_bartels_stewart(self):
+        for i, (A, Q) in enumerate(random_lyapunov_cases()):
+            expected = scipy.linalg.solve_continuous_lyapunov(A, -Q)
+            err = np.linalg.norm(lyapunov_solve(A, Q) - expected) / np.linalg.norm(expected)
+            assert err <= 1e-12, f"case {i}"
+
+    def test_order_above_cap_rejected(self):
+        n = LYAPUNOV_MAX_ORDER
+        assert np.allclose(lyapunov_solve(-np.eye(n), np.eye(n)), 0.5 * np.eye(n), atol=1e-12)
+        with pytest.raises(InvalidInputError, match=r"\bA\b.*order 33"):
+            lyapunov_solve(-np.eye(n + 1), np.eye(n + 1))
 
     def test_non_hurwitz_rejected(self):
         with pytest.raises(NonHurwitzError):
@@ -340,6 +352,74 @@ class TestLyapunov:
     def test_asymmetric_q_rejected(self):
         with pytest.raises(InvalidInputError):
             lyapunov_solve(-np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def random_lyapunov_cases():
+    """20 (A, Q) pairs: Hurwitz A of order 2..5 with a random spectral margin, Q = B B^T of rank <= 2."""
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = rng.integers(2, 6)
+        A = rng.normal(size=(n, n))
+        A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.3, 1.5)) * np.eye(n)
+        B = rng.normal(size=(n, 2))
+        yield A, B @ B.T
+
+
+def max_entry_error(E, expected):
+    """Largest entrywise difference, relative to the largest entry of expected."""
+    return np.abs(E - expected).max() / np.abs(expected).max()
+
+
+class TestExpm:
+    def test_matches_scipy_on_shipped_scenarios(self):
+        """At t = 0, dt, 1 s and 40 slow time constants on the A0 of each shipped scenario."""
+        for name in ("fig2.scn", "fig3.scn", "safety.scn"):
+            sc = load_scenario(SCENARIOS / name)
+            A0 = build_error_system(sc.controller, sc.params.tau, sc.channel.effective_gamma()).A0
+            t_slow = 1.0 / np.abs(np.linalg.eigvals(A0).real).min()
+            for t in (0.0, sc.dt, 1.0, 40.0 * t_slow):
+                err = max_entry_error(_expm(A0 * t), scipy.linalg.expm(A0 * t))
+                assert err <= 1e-13, f"{name} t={t}"
+
+    def test_matches_scipy_at_eta_step_and_horizon(self):
+        """On _eta_sup's step and horizon for the dense-sample test's 60 configs.
+
+        At the horizon exp(A0 t) has decayed to about e^-40 through 7 to 12
+        squarings, and scipy.linalg.expm is itself up to 1.05e-12 (relative
+        to the largest entry) off a 40-digit reference there, against
+        3.8e-13 for _expm; so the two are held to 2e-12 at the horizon and
+        to 1e-13 at the step.
+        """
+        rng = np.random.default_rng(5)
+        for i in range(60):
+            A0 = build_error_system(*random_stable_config(rng)).A0
+            horizon = 40.0 / np.abs(np.linalg.eigvals(A0).real).min()
+            for t, tol in ((horizon / ETA_STEPS, 1e-13), (horizon, 2e-12)):
+                err = max_entry_error(_expm(A0 * t), scipy.linalg.expm(A0 * t))
+                assert err <= tol, f"config {i} t={t}"
+
+    def test_every_pade_degree_matches_scipy(self):
+        """Hurwitz M with 1-norms on both sides of each theta, so every degree runs, and degree 13 once scaled."""
+        rng = np.random.default_rng(21)
+        for norm in (1e-3, 0.014, 0.016, 0.25, 0.26, 0.95, 0.96, 2.09, 2.1, 5.37, 5.38):
+            for _ in range(5):
+                M = rng.normal(size=(3, 3))
+                M -= (np.max(np.linalg.eigvals(M).real) + 0.5) * np.eye(3)
+                M *= norm / np.abs(M).sum(axis=0).max()
+                assert max_entry_error(_expm(M), scipy.linalg.expm(M)) <= 1e-13, f"norm {norm}"
+
+    def test_zero_matrix_is_exact_identity(self):
+        assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(_expm(np.full((3, 3), -0.0)), np.eye(3))
+
+    def test_non_finite_input_or_result_raises(self):
+        for bad in (np.nan, np.inf):
+            M = -np.eye(3)
+            M[1, 2] = bad
+            with pytest.raises(NumericalError):
+                _expm(M)
+        with pytest.raises(NumericalError):
+            _expm(1000.0 * np.eye(3))   # e^1000 overflows
 
 
 class TestL2Norm:

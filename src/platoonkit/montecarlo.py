@@ -42,11 +42,6 @@ the horizon, each checked afterwards by one detect_collisions call, whose
 first overlap freezes the pairs that overlap there; the next pass restarts
 from that step and from the first frozen pair's front vehicle.  Batch size
 alone selects the loop.
-
-scipy.special is imported only where it is called: by a truncated-normal
-decel draw and by the mean-trajectory test.  Before a pool forks, the parent
-makes an empty decel draw, so every worker inherits whatever a draw imports
-and none imports it again.
 """
 
 from __future__ import annotations
@@ -57,6 +52,7 @@ import functools
 import math
 import multiprocessing
 import os
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -98,11 +94,18 @@ RECEPTION_BLOCK = 1024     # slots per draw call; fewer pay the per-call cost, m
 RECEPTION_TILE = 128       # channels per transposed tile, sized to stay in cache
 SUM_BLOCK = 16             # grid points per moment-sum reduction: wider rows reduce faster, same bits
 ENVELOPE_ATOL = 1e-9       # absorbs float accumulation noise on deterministic components
-FAMILY_ALPHA = 0.0026997960632601866    # 2 * ndtr(-3): two-sided 3-sigma level of the mean-trajectory test
+FAMILY_ALPHA = 0.0026997960632601866    # 2 * Phi(-3): two-sided 3-sigma level of the mean-trajectory test
 _INDEX_MAX = int(np.iinfo(np.intp).max)   # the largest index an array can hold
 # the largest count accepted: numpy describes at most _INDEX_MAX // 8 float64
 # elements, and np.arange needs a little more room than that
 _COUNT_MAX = _INDEX_MAX // 16
+_STANDARD_NORMAL = statistics.NormalDist()   # its inv_cdf is Wichura's AS241
+_P_MIN, _P_MAX = math.ulp(0.0), math.nextafter(1.0, 0.0)   # the smallest and largest doubles in (0, 1)
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF; the erfc form keeps its lower tail accurate down to about -37.5."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ class DecelDistribution:
             if not (self.std > 0):
                 raise InvalidInputError(f"std must be positive, got {self.std}")
             near = max(self.low - self.mean, self.mean - self.high, 0.0) / self.std
-            if 0.5 * math.erfc(near / math.sqrt(2.0)) < sys.float_info.min:
+            if _normal_cdf(-near) < sys.float_info.min:
                 raise InvalidInputError(f"low, high: the window lies {near:.4g} sd from the mean, "
                                         "where the normal's tail probability underflows")
 
@@ -186,13 +189,16 @@ class DecelDistribution:
             return np.full(n, self.value)
         if self.kind == "uniform":
             return self.low + (self.high - self.low) * rng.random(n)
-        from scipy.special import ndtr, ndtri
-
-        # ndtr rounds an upper tail to 1.0 from about 8.3 sd: a window above
+        # the CDF rounds an upper tail to 1.0 from about 8.3 sd: a window above
         # the mean is drawn mirrored, through the lower tail
         sign = -1.0 if self.low > self.mean else 1.0
-        a, b = sorted(ndtr(sign * (x - self.mean) / self.std) for x in (self.low, self.high))
-        return self.mean + sign * self.std * ndtri(a + rng.random(n) * (b - a))
+        a, b = sorted(_normal_cdf(sign * (x - self.mean) / self.std) for x in (self.low, self.high))
+        # a + u (b - a) can round to 1.0 and a far end's a underflow to 0.0, and the
+        # quantile of a window end's CDF can miss it by an ulp: each quantile's
+        # argument is kept inside (0, 1) and each draw inside the window
+        inv_cdf, scale = _STANDARD_NORMAL.inv_cdf, sign * self.std
+        return np.array([min(max(self.mean + scale * inv_cdf(min(max(p, _P_MIN), _P_MAX)), self.low), self.high)
+                         for p in (a + rng.random(n) * (b - a)).tolist()])
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -712,8 +718,6 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     workers = min(len(chunks), cores)
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            if sc.decel_dist is not None:
-                sc.decel_dist.sample(0, np.random.default_rng(0))   # the workers inherit what a draw imports
             pool = stack.enter_context(
                 ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             )
@@ -816,9 +820,6 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
         raise ConfigError(f"n_realizations must be in [2, {_COUNT_MAX}], got {n_realizations}")
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
-    # imported before the run allocates its arrays: imported after them, it leaves the heap fragmented
-    from scipy.special import ndtri
-
     M = sc.n_vehicles
 
     det = run_realization(deterministic_equivalent(sc), 0).states
@@ -837,7 +838,7 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     within = True
     for i in range(M):
         n_tested = max(np.count_nonzero(sigma[:, i, :]), 1)
-        z = -ndtri(-np.expm1(np.log1p(-FAMILY_ALPHA) / n_tested) / 2.0)
+        z = -_STANDARD_NORMAL.inv_cdf(-np.expm1(np.log1p(-FAMILY_ALPHA) / n_tested) / 2.0)
         tested = z * sigma[:, i, :] + ENVELOPE_ATOL
         flat = np.argmax(dev[:, i, :])
         per_vehicle_max[i] = dev[:, i, :].flat[flat]

@@ -11,8 +11,7 @@ L2 relation through a Lyapunov-based L2->Linf gain to dominate the maximum
 spacing error of every vehicle by a constant independent of string length.
 
 The bound's matrix exponentials (_expm) and Lyapunov solves (lyapunov_solve)
-act on the 3x3 error system and are written on numpy alone, so this module
-loads no scipy.
+act on the 3x3 error system and are written on numpy alone.
 """
 
 from __future__ import annotations
@@ -397,7 +396,7 @@ def lyapunov_solve(A: np.ndarray, Qm: np.ndarray) -> np.ndarray:
             f"A has order {n}; lyapunov_solve takes at most {LYAPUNOV_MAX_ORDER} "
             f"(its Kronecker system holds n^4 floats)"
         )
-    if not np.allclose(Qm, Qm.T, atol=1e-12 * max(1.0, float(np.abs(Qm).max()))):
+    if not np.abs(Qm - Qm.T).max() <= 1e-12 * max(1.0, float(np.abs(Qm).max())):
         raise InvalidInputError("Qm must be symmetric")
     eigs = np.linalg.eigvals(A)
     if np.max(eigs.real) >= 0.0:

@@ -97,7 +97,7 @@ class TestDecelSampling:
 
     @pytest.mark.parametrize("mean, std, low, high", [
         (7.5, 1.0, 4.5, 9.5),     # the -3/+2 sigma window is asymmetric
-        (7.5, 0.5, 12.5, 13.0),   # 10 to 11 sigma above the mean, where ndtr rounds to 1.0
+        (7.5, 0.5, 12.5, 13.0),   # 10 to 11 sigma above the mean, where the CDF rounds to 1.0
         (60.0, 2.0, 4.5, 9.5),    # 27.75 to 25.25 sigma below the mean
     ])
     def test_support_and_mean(self, mean, std, low, high):
@@ -120,6 +120,34 @@ class TestDecelSampling:
     def test_window_whose_mass_underflows_rejected(self, mean, std, low, high):
         with pytest.raises(InvalidInputError, match="^low, high: "):
             DecelDistribution(kind="truncnorm", mean=mean, std=std, low=low, high=high)
+
+    @pytest.mark.parametrize("low, high, u", [
+        (7.5, 20.0, 1.0 - 2.0 ** -53),   # the CDFs are 0.5 and 1.0, and 0.5 + u * 0.5 rounds to 1.0
+        (7.5, 20.0, 0.0),
+        (2.0, 4.0, 0.0),                 # the quantile of the CDF at low is 1 ulp below low
+    ])
+    def test_extreme_uniforms_draw_inside_the_window(self, low, high, u):
+        class Stub:
+            def random(self, n):
+                return np.full(n, u)
+
+        dist = DecelDistribution(kind="truncnorm", mean=7.5, std=1.0, low=low, high=high)
+        draws = dist.sample(3, Stub())
+        assert np.all(np.isfinite(draws)) and draws.min() >= low and draws.max() <= high
+
+    def test_normal_cdf_matches_ndtr(self):
+        from scipy.special import ndtr
+
+        z = np.linspace(-37.5, 8.3, 100_001)
+        cdf = np.array([montecarlo._normal_cdf(x) for x in z.tolist()])
+        np.testing.assert_allclose(cdf, ndtr(z), rtol=1e-12, atol=0.0)
+
+    def test_inv_cdf_matches_ndtri(self):
+        from scipy.special import ndtri
+
+        p = np.concatenate([np.logspace(-307.0, -1.0, 20_001), np.linspace(0.1, 1.0 - 1e-6, 20_001)])
+        z = np.array([montecarlo._STANDARD_NORMAL.inv_cdf(q) for q in p.tolist()])
+        np.testing.assert_allclose(z, ndtri(p), rtol=1e-14, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError, match="^low, high: need 0 < low <= high"):

@@ -781,56 +781,43 @@ class TestCli:
         return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True,
                               timeout=300)
 
-    def test_commands_without_normal_draws_import_no_scipy(self, tmp_path):
-        """Only the normal-distribution helpers import scipy; bound on fig3 (fixed decel limits) loads none."""
-        script = """if True:
-            import sys
-            from pathlib import Path
-            import platoonkit, platoonkit.cli, platoonkit.scenario
-            scenarios, out = Path(sys.argv[1]), Path(sys.argv[2])
-            for name in ("fig2.scn", "fig3.scn", "safety.scn"):
-                platoonkit.scenario.load_scenario(scenarios / name)
-            for argv in (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5"],
-                         ["stability", str(scenarios / "fig2.scn")],
-                         ["simulate", str(scenarios / "fig3.scn")],
-                         ["bound", str(scenarios / "fig3.scn")]):
-                assert platoonkit.cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
-            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-        """
-        proc = self.run_fresh(script, str(SCENARIOS), str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
-
-    def test_forked_workers_import_no_scipy(self, tmp_path):
-        """The parent imports what the workers' truncated-normal draws use before the pool forks."""
+    def test_commands_run_with_scipy_unimportable(self, tmp_path):
+        """Every command runs where scipy cannot be imported, forked Monte Carlo workers included."""
         script = """if True:
             import functools, os, sys
-            from platoonkit import montecarlo
-            from platoonkit.scenario import load_scenario
+            from pathlib import Path
 
-            def scipy_modules():
-                return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        raise ImportError(f"{name} is blocked")
+                    return None
+
+            sys.meta_path.insert(0, NoScipy())
+            from platoonkit import cli, montecarlo
 
             real = montecarlo._batch_sums
 
             @functools.wraps(real)
             def batch_sums(*args, **kwargs):
-                before = scipy_modules()
-                result = real(*args, **kwargs)
                 assert os.getpid() != parent, "the batch ran in the parent, not in a worker"
-                assert scipy_modules() == before, f"a worker imported {sorted(scipy_modules() - before)}"
-                return result
+                return real(*args, **kwargs)
 
             parent = os.getpid()
             montecarlo._batch_sums = batch_sums
             montecarlo.BATCH_SIZE = 4
             os.sched_getaffinity = lambda pid: {0, 1}
-            sc = load_scenario(sys.argv[1])
-            assert sc.decel_dist.kind == "truncnorm" and not scipy_modules()
-            montecarlo.run_safety_study(sc, realizations=8)
+            safety, fig3, out = sys.argv[1], sys.argv[2], Path(sys.argv[3])
+            for argv in (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5"],
+                         ["stability", safety],
+                         ["simulate", safety],
+                         ["bound", safety],
+                         ["montecarlo", safety, "--realizations", "8"],
+                         ["validate-mean", fig3, "--realizations", "8"]):
+                assert cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
             print("ok")
         """
-        proc = self.run_fresh(script, str(short_safety(tmp_path, 2)))
+        proc = self.run_fresh(script, str(SCENARIOS / "safety.scn"), str(SCENARIOS / "fig3.scn"), str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "ok"
 

@@ -349,9 +349,11 @@ class TestLyapunov:
         with pytest.raises(NonHurwitzError):
             lyapunov_solve(np.array([[1.0]]), np.array([[1.0]]))
 
-    def test_asymmetric_q_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lyapunov_solve(-np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("Qm", [[[1.0, 2.0], [0.0, 1.0]],
+                                    [[1.0, 1.0 + 5e-6], [1.0, 1.0]]])   # asymmetric by 5e-6 relative
+    def test_asymmetric_q_rejected(self, Qm):
+        with pytest.raises(InvalidInputError, match="^Qm must be symmetric"):
+            lyapunov_solve(-np.eye(2), np.array(Qm))
 
 
 def random_lyapunov_cases():

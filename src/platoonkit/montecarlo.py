@@ -26,7 +26,9 @@ the spacing errors (followers, realizations), so every neighbour difference
 runs on whole contiguous rows.  The moment studies add their samples grid
 point by grid point in realization order, the order of a per-point
 rows.sum(axis=0); they reduce SUM_BLOCK grid points at a time, which gives the
-same bits with fewer, wider reductions.
+same bits with fewer, wider reductions.  A collision freezes its pair for
+good: the batched loop closes both vehicles' command windows to [0, 0] at the
+hit, and the unchanged step then keeps every bit of their state.
 
 One realization with no per-step hook (simulate, bound, the deterministic
 equivalent of validate-mean) runs on Python floats instead, where numpy's
@@ -40,8 +42,8 @@ order, so it gives the same bits.  A collision, the one backward coupling,
 also freezes the pair's front vehicle: the vehicles then run in passes to
 the horizon, each checked afterwards by one detect_collisions call, whose
 first overlap freezes the pairs that overlap there; the next pass restarts
-from that step and from the first frozen pair's front vehicle.  Batch size
-alone selects the loop.
+from that step and from the first frozen pair's front vehicle, filling a
+frozen vehicle's rows instead of stepping it.  Batch size alone selects the loop.
 """
 
 from __future__ import annotations
@@ -230,6 +232,9 @@ class ScenarioConfig:
             raise InvalidInputError("dt: too small for duration: more steps than an array can index")
         if self.n_steps < 1:
             raise InvalidInputError("duration: shorter than one step")
+        # the quotient of two decimal inputs misses its whole number by rounding only
+        if abs(self.duration / self.dt - self.n_steps) > 1e-9 * self.n_steps:
+            raise InvalidInputError(f"duration: {self.duration} s is not a whole number of {self.dt} s steps")
         # a batch's largest arrays: its trajectories (BATCH_SIZE, steps + 1, vehicles, 3),
         # its moment block and its reception planes (RECEPTION_BLOCK slots, at most)
         if BATCH_SIZE * max(self.n_steps + 1, RECEPTION_BLOCK) * self.n_vehicles * 3 > _COUNT_MAX:
@@ -408,10 +413,16 @@ def _simulate_batch(
     spacing errors e.  The batch is held vehicle-major, so every neighbour
     difference runs on whole contiguous rows.
 
+    A hit of pair p in realization r closes the command windows
+    [floor, ceiling] of vehicles p and p+1 to [0, 0] and zeroes their v, a.
+    The clamp then pins u to a signed zero, so the unchanged step gives
+    a' = v' = +0.0, no stop clamp, and x' = x (no position is -0.0).
+
     One realization without on_step goes to _simulate_one, which does this
     loop's arithmetic on Python floats in the same operand order and so
-    returns the same bits (its docstring gives the argument); a batch of two
-    or more, or any batch with on_step, runs here.
+    returns the same bits (its docstring gives the argument) and fills a
+    frozen vehicle's rows instead of stepping it; a batch of two or more, or
+    any batch with on_step, runs here.
     """
     indices = np.asarray(indices, dtype=int)
     if len(indices) == 1 and on_step is None:
@@ -429,7 +440,7 @@ def _simulate_batch(
 
     limits = _decel_limits(sc, indices)
     floor = -np.ascontiguousarray(limits.T)
-    accel_limit = sc.params.accel_limit
+    ceiling = np.full((M, R), sc.params.accel_limit)
     lengths = np.full(M, sc.params.length)
 
     x = np.empty((M, R))
@@ -439,8 +450,6 @@ def _simulate_batch(
     for i in range(1, M):
         x[i] = x[i - 1] - d - hw * sc.initial_speed
 
-    frozen = np.zeros((M, R), dtype=bool)
-    any_frozen = False                   # until the first collision, holding frozen vehicles is a no-op
     open_pairs = np.ones((F, R), dtype=bool)
     events: list[list[tuple[float, int, int]]] = [[] for _ in range(R)]
 
@@ -473,9 +482,10 @@ def _simulate_batch(
         else:
             ff = 0.0
         u[1:] = ff - cfg.k_v * (v[1:] - v[:-1]) - cfg.k_p * e_cur
-        # np.clip's bits, in a third of its time (floor < 0 < accel_limit: no tie at zero)
+        # np.clip's bits, in a third of its time (an open window has floor < 0 < ceiling:
+        # no tie at zero; a closed one pins u to a zero of either sign)
         np.maximum(u, floor, out=u)
-        np.minimum(u, accel_limit, out=u)
+        np.minimum(u, ceiling, out=u)
 
         a_n = a * c_aa + u * c_au
         v_n = v + a * c_va + u * c_vu
@@ -485,7 +495,7 @@ def _simulate_batch(
         if neg.any():
             held = neg & (v == 0.0) & (a == 0.0)
             x_n = np.where(held, x, x_n)
-            ii, rr = np.nonzero(neg & ~held & ~frozen)
+            ii, rr = np.nonzero(neg & ~held)
             # the bisection runs on Python floats, twice as fast as on numpy scalars
             crossing = zip(v[ii, rr].tolist(), a[ii, rr].tolist(), u[ii, rr].tolist(), x[ii, rr].tolist())
             for i, r, (vi, ai, ui, xi) in zip(ii, rr, crossing):
@@ -493,14 +503,7 @@ def _simulate_batch(
                 x_n[i, r] = xi + _position_delta_at(vi, ai, ui, tau, s)
             v_n = np.where(neg, 0.0, v_n)
             a_n = np.where(neg, 0.0, a_n)
-
-        if any_frozen:
-            # a frozen vehicle's x never changes after it freezes
-            x = np.where(frozen, x, x_n)
-            v = np.where(frozen, 0.0, v_n)
-            a = np.where(frozen, 0.0, a_n)
-        else:
-            x, v, a = x_n, v_n, a_n
+        x, v, a = x_n, v_n, a_n
 
         hit = detect_collisions(x.T, lengths).T & open_pairs
         if hit.any():
@@ -508,11 +511,7 @@ def _simulate_batch(
             open_pairs &= ~hit
             for p, r in zip(*np.nonzero(hit)):
                 events[r].append((t_hit, int(p), int(p) + 1))
-            frozen[:-1] |= hit
-            frozen[1:] |= hit
-            any_frozen = True
-            v = np.where(frozen, 0.0, v)
-            a = np.where(frozen, 0.0, a)
+                floor[p : p + 2, r] = ceiling[p : p + 2, r] = v[p : p + 2, r] = a[p : p + 2, r] = 0.0
 
         e_cur = record(k + 1)
 

@@ -196,11 +196,16 @@ def _segments(raw: str, key: str) -> tuple[LeaderSegment, ...]:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse a scenario file from disk."""
+    """Parse a scenario file, read as UTF-8, from disk."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"scenario file not found: {p}")
-    return parse_scenario(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        byte, offset = exc.object[exc.start], exc.start
+        raise ConfigError(f"scenario file {p}: not UTF-8 (byte {byte:#04x} at offset {offset})") from None
+    return parse_scenario(text)
 
 
 @functools.cache

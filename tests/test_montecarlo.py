@@ -374,7 +374,8 @@ class TestCollisions:
         # with point-mass 9 for everyone there is no collision
         assert not result.collided
 
-    def test_heterogeneous_crash_freezes_both(self):
+    @pytest.mark.parametrize("batch", [[0], [0, 1]], ids=["alone", "in a batch of 2"])
+    def test_heterogeneous_crash_freezes_both(self, batch):
         # sluggish follower controller reacts too late to an emergency stop
         sc = small_scenario(
             n_followers=1,
@@ -384,17 +385,17 @@ class TestCollisions:
             duration=15.0,
             controller=ControllerConfig(k_a=0.25, k_v=0.3, k_p=0.3, h_w=0.4, mode="acc"),
         )
-        result = run_realization(sc, 0)
+        result = run_realizations(sc, batch)[0]
         assert result.collided
         assert len(result.collision_events) == 1
         t_hit, lead, foll = result.collision_events[0]
         assert (lead, foll) == (0, 1)
         k_hit = int(round(t_hit / sc.dt))
-        # both vehicles stop instantaneously and stay frozen
-        assert np.all(result.states[k_hit:, :, 1] == 0.0)
-        assert np.all(result.states[k_hit:, :, 2] == 0.0)
-        assert np.all(result.states[k_hit:, 0, 0] == result.states[k_hit, 0, 0])
-        assert np.all(result.states[k_hit:, 1, 0] == result.states[k_hit, 1, 0])
+        # both vehicles stop instantaneously and stay frozen: v and a are +0.0, bit for bit
+        frozen = result.states[k_hit:]
+        assert k_hit < sc.n_steps - 100
+        assert frozen[..., 1:].tobytes() == np.zeros_like(frozen[..., 1:]).tobytes()
+        assert np.all(frozen[:, :, 0] == frozen[0, :, 0])
         # overlap at the collision instant
         gap = result.states[k_hit, 0, 0] - result.states[k_hit, 1, 0] - sc.params.length
         assert gap <= 0.0
@@ -809,6 +810,11 @@ class TestScenarioValidation:
             small_scenario(realizations=0)
         with pytest.raises(InvalidInputError, match="^base_seed must be nonnegative"):
             small_scenario(base_seed=-1)
+
+    @pytest.mark.parametrize("duration, dt, n_steps", [(7.31, 0.01, 731), (0.3, 0.1, 3), (25.0, 0.01, 2500)])
+    def test_duration_on_the_step_grid_runs(self, duration, dt, n_steps):
+        # 0.3 / 0.1 is 2.9999999999999996: the quotient misses n_steps by rounding only
+        assert small_scenario(duration=duration, dt=dt).n_steps == n_steps
 
     @pytest.mark.parametrize("realizations", [2**62, 2**63 - 1])
     def test_realizations_past_an_index_array_rejected(self, realizations):

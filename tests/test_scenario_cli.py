@@ -98,6 +98,12 @@ INVALID_VARIANTS = {
     "iid probability": (edit("model = ideal", "model = iid\ngamma = 1.5"), "channel.gamma"),
     "zero step": (edit("dt_s = 0.01", "dt_s = 0"), "sim.dt_s"),
     "unindexable step": (edit("dt_s = 0.01", "dt_s = 1e-300"), "sim.dt_s"),
+    # a duration off the step grid, which a rounded step count would shorten
+    "duration of two and a half steps": (
+        edit("dt_s = 0.01\nduration_s = 12", "dt_s = 0.1\nduration_s = 0.25"), "sim.duration_s: 0.25 s is not"),
+    "duration half a step off": (edit("duration_s = 12", "duration_s = 12.345"), "sim.duration_s"),
+    "duration a third of a step off": (edit("dt_s = 0.01", "dt_s = 0.03").replace("duration_s = 12", "duration_s = 10"),
+                                       "sim.duration_s"),
     "negative gap": (edit("n_followers = 2", "n_followers = 2\nstandstill_gap_m = -1"), "platoon.standstill_gap_m"),
     "zero point decel": (
         edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 0\n"), "montecarlo.decel_value_mps2"),
@@ -273,6 +279,18 @@ class TestParsing:
         change(data)
         with pytest.raises(ConfigError, match=named):
             scenario_from_dict(data)
+
+    def test_file_is_read_as_utf8(self, tmp_path, capsys):
+        scn = tmp_path / "units.scn"
+        scn.write_bytes(edit("kv = 1.0", "kv = 1.0   # m/s² per m/s").encode("utf-8"))
+        assert load_scenario(scn) == parse_scenario(MINIMAL)
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"[platoon]\n# \xff\n" + MINIMAL.encode())
+        with pytest.raises(ConfigError, match=r"bad.scn: not UTF-8 \(byte 0xff at offset 12\)"):
+            load_scenario(bad)
+        assert main(["stability", str(bad), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: scenario file ")
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):

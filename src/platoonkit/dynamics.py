@@ -138,14 +138,12 @@ def _position_delta_at(v: float, a: float, u: float, tau: float, s: float) -> fl
     return v * s + a * tau * (s - c_va) + u * (0.5 * s * s - tau * (s - c_va))
 
 
-def stop_crossing_time(v: float, a: float, u: float, tau: float, dt: float) -> float:
-    """First time in (0, dt] at which the in-step velocity hits zero.
+_ROUNDING = 2.0 ** -49     # 16 unit roundoffs: the relative part of the bound E(s)
+_UNDERFLOW = 2.0 ** -1000  # the absolute part of E(s): covers every subnormal rounding
 
-    Preconditions: v >= 0 at the step start and velocity at dt is negative.
-    The in-step velocity has at most one interior extremum (the acceleration
-    is a monotone exponential), so with opposite endpoint signs the crossing
-    is unique and plain bisection converges.
-    """
+
+def _bisect_stop(v: float, a: float, u: float, tau: float, dt: float) -> float:
+    """stop_crossing_time by plain bisection, evaluating the velocity at every midpoint."""
     lo, hi = 0.0, dt
     a_tau = a * tau   # _velocity_at inlined: its a * tau * r is (a * tau) * r
     for _ in range(80):
@@ -154,6 +152,128 @@ def stop_crossing_time(v: float, a: float, u: float, tau: float, dt: float) -> f
         # is repeated by every later one, so stop there
         r = -math.expm1(-mid / tau)
         if v + a_tau * r + u * (mid - tau * r) > 0.0:
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return hi
+
+
+def _certified_window(v: float, a_tau: float, u: float, tau: float, dt: float) -> tuple[float, float] | None:
+    """A window [s_lo, s_hi] outside which the computed velocity's sign is certain, or None.
+
+    See stop_crossing_time for the argument and the cases that give None.
+    """
+    e0 = _ROUNDING * v + _UNDERFLOW
+    if not v > e0:   # F(0) > E(0); this also refuses v <= 0, where the crossing is at 0
+        return None
+    e1 = _ROUNDING * (abs(a_tau) / tau + abs(u))   # E(s) = e0 + e1 * s
+    b = a_tau - u * tau   # its sign is that of A - u*tau whenever it is not 0
+    # Newton from the side where it converges monotonically: from 0 where F
+    # is convex; where it is concave, from the root of the quadratic with F's
+    # value and slope at 0 and its curvature at dt, which bounds F above
+    s = 0.0
+    if b > 0.0:
+        c1, c2 = a_tau / tau, b * (1.0 + math.expm1(-dt / tau)) / (tau * tau)   # F'(0), -F''(dt)
+        root = math.sqrt(c1 * c1 + 2.0 * c2 * v)
+        s = dt   # where the root's quotient would divide by zero (an underflow)
+        if c1 > 0.0 and c2 > 0.0:
+            s = min(dt, (c1 + root) / c2)
+        elif root - c1 > 0.0:   # the same root without cancellation
+            s = min(dt, 2.0 * v / (root - c1))
+    for _ in range(8):
+        r = -math.expm1(-s / tau)
+        slope = u + b * (1.0 - r) / tau
+        if not slope < 0.0:
+            return None
+        step = (v + a_tau * r + u * (s - tau * r)) / slope
+        s -= step
+        if not 0.0 < s <= dt:
+            return None
+        if abs(step) * -slope <= e0 + e1 * s:
+            break
+    half = 3.0 * (e0 + e1 * s) / -slope + 2.0 * abs(step)
+    s_lo, s_hi = s - half, s + half
+    if not s_lo > 0.0:
+        return None
+    r = -math.expm1(-s_lo / tau)
+    f_lo = v + a_tau * r + u * (s_lo - tau * r)
+    r = -math.expm1(-s_hi / tau)
+    f_hi = v + a_tau * r + u * (s_hi - tau * r)
+    E_lo, E_hi = e0 + e1 * s_lo, e0 + e1 * s_hi
+    if not (f_lo > 2.0 * E_lo and f_hi < -2.0 * E_hi):
+        return None
+    if b >= 0.0 and not (f_lo - f_hi) - (E_lo + E_hi) > e1 * (s_hi - s_lo):
+        return None   # F may be concave, and its chord slope does not beat E's
+    if b <= 0.0:
+        r = -math.expm1(-dt / tau)
+        if not v + a_tau * r + u * (dt - tau * r) < -2.0 * (e0 + e1 * dt):
+            return None   # F may be convex, and F(dt) is not certainly negative
+    return s_lo, s_hi
+
+
+def stop_crossing_time(v: float, a: float, u: float, tau: float, dt: float) -> float:
+    """First time in (0, dt] at which the in-step velocity hits zero.
+
+    Preconditions: v >= 0 at the step start and velocity at dt is negative.
+    The in-step velocity has at most one interior extremum (the acceleration
+    is a monotone exponential), so with opposite endpoint signs the crossing
+    is unique and bisection converges.  The result is the bisection's: from
+    [0, dt], mid = 0.5 * (lo + hi) goes right where the computed velocity
+    f(mid) = v + A*r + u*(mid - tau*r), r = -expm1(-mid/tau), A = a*tau, is
+    positive and left otherwise, for at most 80 halvings, stopping once mid
+    equals lo or hi.  That computed sign is evaluated only inside a window
+    [s_lo, s_hi] around the crossing; outside it the sign is certain, so a
+    midpoint below s_lo goes right and one above s_hi goes left unevaluated,
+    and hi keeps its bits.
+
+    The window's certificate.  With A a double, the exact
+    F(s) = v + A*r(s) + u*(s - tau*r(s)), r(s) = 1 - exp(-s/tau), has
+    F'' = (u*tau - A) * exp(-s/tau) / tau**2, of one sign on [0, dt], so F
+    is convex or concave there.  The computed a*tau - u*tau has the sign of
+    A - u*tau where it is not 0, and where it is 0 both cases below are
+    certified.  In the standard error model (Higham, Accuracy and Stability
+    of Numerical Algorithms, SIAM 2002, ch. 3), with unit roundoff
+    u_r = 2**-53, expm1 within 2.5 units in the last place and
+    R = r(s) <= s/tau, to first order
+    |f(s) - F(s)| <= u_r*(v + 8*|A|*R + |u|*(2*s + 6*tau*R))
+                  <= 8*u_r*(v + (|A|/tau + |u|)*s)
+    (the last rounding of f keeps the sign of the exact sum it rounds).
+    E(s) = 2**-49 * (v + (|A|/tau + |u|)*s) + 2**-1000 is twice that, which
+    covers the second-order terms and E's own rounding, plus an absolute term
+    for subnormal roundings; E is linear and increasing.  Guarded Newton steps
+    give s_hat, and s_lo, s_hi = s_hat -/+ half with s_lo > 0.  Two
+    evaluations certify F(s_lo) >= f(s_lo) - E(s_lo) > E(s_lo) and
+    F(s_hi) + E(s_hi) < 0, and F(0) = v > E(0) is checked.
+    - On (0, s_lo], F - E stays above a line that is positive at both ends,
+      so f > 0.  A concave F lies above its chord from (0, v).  A convex F
+      falls there (its slope is below the chord slope of [s_lo, s_hi],
+      which is negative), so F >= F(s_lo) > E(s_lo) >= E.
+    - On [s_hi, dt], F + E stays below a line that is negative at both ends,
+      so f <= 0.  A convex F lies below its chord to (dt, F(dt)), and a third
+      evaluation certifies F(dt) + E(dt) < 0.  A concave F's slope after
+      s_hi is at most the chord slope of [s_lo, s_hi], which the
+      certificate puts below -E's slope.
+
+    The window is refused, and the plain bisection runs instead, where
+    v <= E(0) (v = 0 puts the crossing at 0), Newton's slope is not
+    negative, Newton leaves (0, dt], s_lo <= 0, or a check above fails: in
+    particular where the computed velocity at dt is not negative, as when
+    the caller's ZOH update and f round to opposite signs.
+    """
+    a_tau = a * tau
+    window = _certified_window(v, a_tau, u, tau, dt)
+    if window is None:
+        return _bisect_stop(v, a, u, tau, dt)
+    s_lo, s_hi = window
+    lo, hi = 0.0, dt
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        # positive below the window, computed inside it, not positive above it
+        if mid < s_lo or (mid <= s_hi and v + a_tau * (r := -math.expm1(-mid / tau)) + u * (mid - tau * r) > 0.0):
             if mid == lo:
                 break
             lo = mid

@@ -493,16 +493,20 @@ def _simulate_batch(
 
         neg = v_n < 0.0
         if neg.any():
-            held = neg & (v == 0.0) & (a == 0.0)
-            x_n = np.where(held, x, x_n)
-            ii, rr = np.nonzero(neg & ~held)
-            # the bisection runs on Python floats, twice as fast as on numpy scalars
+            # one gather and one scatter for the step's crossings: a vehicle
+            # at rest with no acceleration is held where it is, any other
+            # stops where its velocity hits zero, worked out on Python floats
+            # (twice as fast as on numpy scalars); v_n and a_n are fresh
+            # arrays, so they are zeroed in place
+            ii, rr = np.nonzero(neg)
             crossing = zip(v[ii, rr].tolist(), a[ii, rr].tolist(), u[ii, rr].tolist(), x[ii, rr].tolist())
-            for i, r, (vi, ai, ui, xi) in zip(ii, rr, crossing):
-                s = stop_crossing_time(vi, ai, ui, tau, dt)
-                x_n[i, r] = xi + _position_delta_at(vi, ai, ui, tau, s)
-            v_n = np.where(neg, 0.0, v_n)
-            a_n = np.where(neg, 0.0, a_n)
+            x_n[ii, rr] = [
+                xi if vi == 0.0 and ai == 0.0
+                else xi + _position_delta_at(vi, ai, ui, tau, stop_crossing_time(vi, ai, ui, tau, dt))
+                for vi, ai, ui, xi in crossing
+            ]
+            v_n[neg] = 0.0
+            a_n[neg] = 0.0
         x, v, a = x_n, v_n, a_n
 
         hit = detect_collisions(x.T, lengths).T & open_pairs

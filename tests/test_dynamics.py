@@ -10,6 +10,7 @@ from platoonkit.dynamics import (
     LeaderSegment,
     VehicleParams,
     VehicleState,
+    _certified_window,
     _velocity_at,
     leader_command,
     leader_input,
@@ -118,26 +119,79 @@ class TestStepVehicle:
             assert cur.v >= 0.0
 
 
+def full_bisection(v, a, u, tau, dt):
+    """All 80 halvings of [0, dt] on _velocity_at: no early exit, no window."""
+    lo, hi = 0.0, dt
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _velocity_at(v, a, u, tau, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def signed_log_uniform(rng, low, high, n):
+    """Magnitudes log-uniform in [low, high], each with a random sign."""
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(math.log10(low), math.log10(high), n)
+
+
 class TestStopCrossing:
     def test_matches_full_bisection(self):
-        # the early exit returns bit for bit what all 80 halvings return
+        # the early exit and the certified window return bit for bit what all
+        # 80 halvings return.  Most real crossings start almost at rest
+        # (v ~ 1e-6 m/s, |a| ~ 1e-4 m/s^2) under a small creep command u > 0,
+        # so v and a are log-uniform over many decades and half of the u are too
         rng = np.random.default_rng(8)
-        checked = 0
-        for _ in range(2000):
-            v, a, u = rng.uniform(0.0, 0.2), rng.uniform(-9.0, 3.0), rng.uniform(-9.0, 0.0)
-            tau, dt = rng.uniform(0.2, 0.8), rng.choice([0.01, 0.05, 0.2])
-            if not _velocity_at(v, a, u, tau, dt) < 0.0:
+        n = 150_000
+        v = 10.0 ** rng.uniform(-18.0, math.log10(30.0), n)
+        a = signed_log_uniform(rng, 1e-14, 10.0, n)
+        u = np.where(rng.random(n) < 0.5, rng.uniform(-10.0, 3.0, n), signed_log_uniform(rng, 1e-12, 3.0, n))
+        tau = rng.uniform(0.2, 0.8, n)
+        dt = rng.choice([0.01, 0.05, 0.2], n)
+        checked = windowed = 0
+        for case in zip(v.tolist(), a.tolist(), u.tolist(), tau.tolist(), dt.tolist()):
+            if not _velocity_at(*case) < 0.0:
                 continue
-            lo, hi = 0.0, dt
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if _velocity_at(v, a, u, tau, mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            assert stop_crossing_time(v, a, u, tau, dt) == hi
+            assert stop_crossing_time(*case) == full_bisection(*case), case
             checked += 1
-        assert checked > 500
+            vi, ai, ui, ti, di = case
+            windowed += _certified_window(vi, ai * ti, ui, ti, di) is not None
+        assert checked >= 50_000
+        # the certified window is what was checked
+        assert windowed > 0.99 * checked
+
+    @pytest.mark.parametrize(
+        "case, expected, windowed",
+        [
+            # at rest, or next to it: every midpoint lies above the root, and
+            # the 80 halvings end at dt * 2**-80, not at a fixed point; v = 0
+            # puts the root at 0 and takes the plain bisection, v = 1e-300
+            # replays all 80 midpoints without one evaluation
+            ((0.0, -1.0, -1.0, 0.5, 0.01), 8.271806125530277e-27, False),
+            ((1e-300, -1.0, -1.0, 0.5, 0.01), 8.271806125530277e-27, True),
+            # below the rounding bound's absolute floor: the plain bisection
+            ((1e-305, -1.0, -1.0, 0.5, 0.01), 8.271806125530277e-27, False),
+            ((1e-18, -4.5e-4, 8.4e-6, 0.5, 0.01), None, True),
+            ((1e-18, -3.0, -9.0, 0.5, 0.2), None, True),
+            # no acceleration to speak of: the command alone stops the vehicle
+            ((1e-5, 0.0, -5.0, 0.5, 0.01), None, True),
+            ((1e-5, -0.0, -5.0, 0.5, 0.01), None, True),
+            ((1e-5, 1e-300, -5.0, 0.5, 0.01), None, True),
+            # the computed velocity at dt is still positive: the bisection
+            # never turns left and returns dt
+            ((2e-6, -1e-14, -1e-3, 0.5, 0.01), 0.01, False),
+        ],
+        ids=["v=0", "v=1e-300", "v=1e-305", "v=1e-18 creeping", "v=1e-18 braking", "a=0", "a=-0", "a=1e-300",
+             "f(dt)>0"],
+    )
+    def test_edge_cases_match_full_bisection(self, case, expected, windowed):
+        got = stop_crossing_time(*case)
+        assert got == full_bisection(*case)
+        if expected is not None:
+            assert got == expected
+        v, a, u, tau, dt = case
+        assert (_certified_window(v, a * tau, u, tau, dt) is not None) == windowed
 
 
 class TestLeaderInput:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,46 @@ class TestSafetyOracle:
         # the paths under test ran: some runs collided, some did not, and vehicles stopped
         assert 0 < n_collided < 40
         assert any((r.states[1:, :, 1] == 0.0).any() for r in runs)
+
+
+class TestStopClamp:
+    """The batched loop's stop clamp: one gather and one scatter per step."""
+
+    def test_held_and_crossing_vehicles_at_one_step(self, monkeypatch):
+        # the leader commands -9 m/s^2 for good, so from its stop on it is
+        # held (v = a = 0 and v' < 0) at every step, while its followers
+        # still come to rest behind it
+        sc = crash_study(leader=LeaderProfile((LeaderSegment(0.0, -9.0),)), initial_speed=15.0, duration=8.0,
+                         controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0, mode="acc"))
+        bisect = montecarlo.stop_crossing_time
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(montecarlo, "stop_crossing_time", spy)
+        batch = run_realizations(sc, range(3))
+        in_batch = Counter(calls)
+        calls.clear()
+        alone = [run_realization(sc, r) for r in range(3)]
+        # both loops bisect the same crossings, and never a held vehicle: a
+        # held vehicle's bisected stop would move x by about 1e-52 m, which
+        # rounds away, so its states alone cannot show that branch
+        assert in_batch == Counter(calls)
+        assert all(v != 0.0 or a != 0.0 for v, a, *_ in in_batch)
+        steps_with_both = 0
+        for run, single in zip(batch, alone):
+            rest = (run.states[..., 1] == 0.0) & (run.states[..., 2] == 0.0)
+            steps_with_both += (rest[:-1, 0] & (~rest[:-1, 1:] & rest[1:, 1:]).any(axis=1)).sum()
+            assert run.states.tobytes() == single.states.tobytes()
+            assert run.spacing_errors.tobytes() == single.spacing_errors.tobytes()
+            states, errors = reference_platoon_sim(sc, decel_limits=run.decel_limits)
+            assert np.array_equal(run.states, states)
+            assert np.array_equal(run.spacing_errors, errors)
+        # the case under test happens: at some step the held leader and a
+        # follower coming to rest share one gather and one scatter
+        assert steps_with_both > 0
 
 
 @st.composite

@@ -2,9 +2,9 @@
 """Stop crossings: where the safety study's crossings start, and the crossing time against plain bisection.
 
 Two parts, each checking `stop_crossing_time` bit for bit against the plain
-bisection it replays (`dynamics._bisect_stop`, which evaluates the velocity
-at every midpoint) and counting the crossings whose certified window was
-refused (the fallbacks, which run that bisection):
+bisection it replays (`plain_bisection` below: all 80 halvings of [0, dt],
+the velocity evaluated at every midpoint) and counting the crossings whose
+certified window was refused (the fallbacks, which evaluate every midpoint):
 
 - census: every crossing of one batch of the shipped safety.scn (base seed
   41, realizations 0..n-1, at most one batch, so it runs in this process),
@@ -13,7 +13,7 @@ refused (the fallbacks, which run that bisection):
   1e-3 m/s, and the median start velocity, acceleration and command.
 - sweep: seeded random crossings that meet the engine's precondition (the
   ZOH velocity at dt is negative), with v = 0, v near 1e-18 and a = 0
-  among them.
+  among them.  `--crossings 0` runs the census alone.
 
 Exits 1 on any mismatch.
 
@@ -29,18 +29,31 @@ from pathlib import Path
 import numpy as np
 
 from platoonkit import montecarlo
-from platoonkit.dynamics import _bisect_stop, _certified_window, stop_crossing_time, zoh_coefficients
+from platoonkit.dynamics import _certified_window, stop_crossing_time, zoh_coefficients
 from platoonkit.scenario import load_scenario
 
 SAFETY = Path(__file__).resolve().parent.parent / "scenarios" / "safety.scn"
 CHUNK = 100_000   # random draws per block: keeps the sweep's arrays small
 
 
+def plain_bisection(v: float, a: float, u: float, tau: float, dt: float) -> float:
+    """All 80 halvings of [0, dt] on the in-step velocity: no early exit, no window."""
+    lo, hi = 0.0, dt
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        r = -math.expm1(-mid / tau)
+        if v + a * tau * r + u * (mid - tau * r) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def check(crossings) -> tuple[int, int, int]:
     """(mismatches, fallbacks, fallbacks from v = 0) of stop_crossing_time over (v, a, u, tau, dt) tuples."""
     mismatches = fallbacks = at_rest = 0
     for v, a, u, tau, dt in crossings:
-        mismatches += stop_crossing_time(v, a, u, tau, dt) != _bisect_stop(v, a, u, tau, dt)
+        mismatches += stop_crossing_time(v, a, u, tau, dt) != plain_bisection(v, a, u, tau, dt)
         if _certified_window(v, a * tau, u, tau, dt) is None:
             fallbacks += 1
             at_rest += v == 0.0
@@ -78,6 +91,7 @@ def random_crossings(rng, n: int):
     log-uniform magnitude in [1e-12, 3]; tau is uniform in [0.2, 0.8] s and
     dt one of 0.01, 0.05 and 0.2 s.  The near-rest creep of the census
     (v ~ 1e-6 m/s, a ~ -1e-4 m/s^2, small u > 0) is inside this range.
+    tests/test_dynamics.py checks its crossings against its own bisection.
     """
     while n:
         v = 10.0 ** rng.uniform(-20.0, math.log10(30.0), CHUNK)
@@ -121,12 +135,13 @@ def main() -> int:
         print(f"| {mode.upper()} | {len(calls):,} | {100 * (v < 1e-3).mean():.1f} % | {np.median(v):.3g} m/s "
               f"| {np.median(a):.2g} m/s² | {np.median(u):+.2g} m/s² | {mismatches} | {fallbacks} |")
 
-    t0 = time.perf_counter()
-    mismatches, fallbacks, at_rest = check(random_crossings(np.random.default_rng(args.seed), args.crossings))
-    bad += mismatches
-    print(f"sweep: {args.crossings:,} random crossings (seed {args.seed}): {mismatches} mismatches, "
-          f"{fallbacks} fallbacks ({100 * fallbacks / max(args.crossings, 1):.3f} %, {at_rest} of them from v = 0), "
-          f"{time.perf_counter() - t0:.0f} s")
+    if args.crossings:
+        t0 = time.perf_counter()
+        mismatches, fallbacks, at_rest = check(random_crossings(np.random.default_rng(args.seed), args.crossings))
+        bad += mismatches
+        print(f"sweep: {args.crossings:,} random crossings (seed {args.seed}): {mismatches} mismatches, "
+              f"{fallbacks} fallbacks ({100 * fallbacks / args.crossings:.3f} %, {at_rest} of them from v = 0), "
+              f"{time.perf_counter() - t0:.0f} s")
     return 1 if bad else 0
 
 

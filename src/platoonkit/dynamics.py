@@ -142,26 +142,6 @@ _ROUNDING = 2.0 ** -49     # 16 unit roundoffs: the relative part of the bound E
 _UNDERFLOW = 2.0 ** -1000  # the absolute part of E(s): covers every subnormal rounding
 
 
-def _bisect_stop(v: float, a: float, u: float, tau: float, dt: float) -> float:
-    """stop_crossing_time by plain bisection, evaluating the velocity at every midpoint."""
-    lo, hi = 0.0, dt
-    a_tau = a * tau   # _velocity_at inlined: its a * tau * r is (a * tau) * r
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        # the body depends only on (lo, hi): a halving that changes neither
-        # is repeated by every later one, so stop there
-        r = -math.expm1(-mid / tau)
-        if v + a_tau * r + u * (mid - tau * r) > 0.0:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
-    return hi
-
-
 def _certified_window(v: float, a_tau: float, u: float, tau: float, dt: float) -> tuple[float, float] | None:
     """A window [s_lo, s_hi] outside which the computed velocity's sign is certain, or None.
 
@@ -174,7 +154,9 @@ def _certified_window(v: float, a_tau: float, u: float, tau: float, dt: float) -
     b = a_tau - u * tau   # its sign is that of A - u*tau whenever it is not 0
     # Newton from the side where it converges monotonically: from 0 where F
     # is convex; where it is concave, from the root of the quadratic with F's
-    # value and slope at 0 and its curvature at dt, which bounds F above
+    # value and slope at 0 and its curvature at dt, which bounds F above.
+    # From dt alone, Newton only halves s per step where F(0) is tiny and F
+    # bends like v - c*s**2, and runs out of steps
     s = 0.0
     if b > 0.0:
         c1, c2 = a_tau / tau, b * (1.0 + math.expm1(-dt / tau)) / (tau * tau)   # F'(0), -F''(dt)
@@ -258,21 +240,21 @@ def stop_crossing_time(v: float, a: float, u: float, tau: float, dt: float) -> f
       s_hi is at most the chord slope of [s_lo, s_hi], which the
       certificate puts below -E's slope.
 
-    The window is refused, and the plain bisection runs instead, where
-    v <= E(0) (v = 0 puts the crossing at 0), Newton's slope is not
-    negative, Newton leaves (0, dt], s_lo <= 0, or a check above fails: in
-    particular where the computed velocity at dt is not negative, as when
-    the caller's ZOH update and f round to opposite signs.
+    The window is refused, and [0, dt] taken in its place (every midpoint
+    evaluated: the plain bisection), where v <= E(0) (v = 0 puts the
+    crossing at 0), Newton's slope is not negative, Newton leaves (0, dt],
+    s_lo <= 0, or a check above fails: in particular where the computed
+    velocity at dt is not negative, as when the caller's ZOH update and f
+    round to opposite signs.
     """
     a_tau = a * tau
-    window = _certified_window(v, a_tau, u, tau, dt)
-    if window is None:
-        return _bisect_stop(v, a, u, tau, dt)
-    s_lo, s_hi = window
+    s_lo, s_hi = _certified_window(v, a_tau, u, tau, dt) or (0.0, dt)
     lo, hi = 0.0, dt
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        # positive below the window, computed inside it, not positive above it
+        # positive below the window, computed inside it, not positive above
+        # it.  The body depends only on (lo, hi): a halving that changes
+        # neither is repeated by every later one, so stop there
         if mid < s_lo or (mid <= s_hi and v + a_tau * (r := -math.expm1(-mid / tau)) + u * (mid - tau * r) > 0.0):
             if mid == lo:
                 break

@@ -37,7 +37,10 @@ CHUNK = 100_000   # random draws per block: keeps the sweep's arrays small
 
 
 def plain_bisection(v: float, a: float, u: float, tau: float, dt: float) -> float:
-    """All 80 halvings of [0, dt] on the in-step velocity: no early exit, no window."""
+    """All 80 halvings of [0, dt] on the in-step velocity: no early exit, no window.
+
+    The tests' scalar platoon reference (tests/conftest.py) stops on it too.
+    """
     lo, hi = 0.0, dt
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -91,7 +94,7 @@ def random_crossings(rng, n: int):
     log-uniform magnitude in [1e-12, 3]; tau is uniform in [0.2, 0.8] s and
     dt one of 0.01, 0.05 and 0.2 s.  The near-rest creep of the census
     (v ~ 1e-6 m/s, a ~ -1e-4 m/s^2, small u > 0) is inside this range.
-    tests/test_dynamics.py checks its crossings against its own bisection.
+    tests/test_dynamics.py checks its crossings against plain_bisection.
     """
     while n:
         v = 10.0 ** rng.uniform(-20.0, math.log10(30.0), CHUNK)

@@ -125,12 +125,6 @@ def zoh_coefficients(tau: float, dt: float) -> tuple[float, float, float, float,
     return c_aa, c_au, c_va, c_vu, c_xa, c_xu
 
 
-def _velocity_at(v: float, a: float, u: float, tau: float, s: float) -> float:
-    """Velocity s seconds into a step with constant command u."""
-    r = -math.expm1(-s / tau)
-    return v + a * tau * r + u * (s - tau * r)
-
-
 def _position_delta_at(v: float, a: float, u: float, tau: float, s: float) -> float:
     """Position advance s seconds into a step with constant command u."""
     r = -math.expm1(-s / tau)

@@ -23,12 +23,12 @@ cache, and only its boolean planes are transposed.
 
 A batch is held vehicle-major: x, v, a are (vehicles, realizations) arrays and
 the spacing errors (followers, realizations), so every neighbour difference
-runs on whole contiguous rows.  The moment studies add their samples grid
-point by grid point in realization order, the order of a per-point
-rows.sum(axis=0); they reduce SUM_BLOCK grid points at a time, which gives the
-same bits with fewer, wider reductions.  A collision freezes its pair for
-good: the batched loop closes both vehicles' command windows to [0, 0] at the
-hit, and the unchanged step then keeps every bit of their state.
+runs on whole contiguous rows.  The moment studies sum each grid point's
+samples pairwise along its contiguous realization rows, so a sum's bits
+depend only on the batch's values and its length.  A collision freezes its
+pair for good: the batched loop closes both vehicles' command windows to
+[0, 0] at the hit, and the unchanged step then keeps every bit of their
+state.
 
 One realization with no per-step hook (simulate, bound, the deterministic
 equivalent of validate-mean) runs on Python floats instead, where numpy's
@@ -94,7 +94,6 @@ STREAM_DECEL = 1
 BATCH_SIZE = 2048          # fixed: aggregation order must not depend on callers
 RECEPTION_BLOCK = 1024     # slots per draw call; fewer pay the per-call cost, more grow the bool planes
 RECEPTION_TILE = 128       # channels per transposed tile, sized to stay in cache
-SUM_BLOCK = 16             # grid points per moment-sum reduction: wider rows reduce faster, same bits
 ENVELOPE_ATOL = 1e-9       # absorbs float accumulation noise on deterministic components
 FAMILY_ALPHA = 0.0026997960632601866    # 2 * Phi(-3): two-sided 3-sigma level of the mean-trajectory test
 _INDEX_MAX = int(np.iinfo(np.intp).max)   # the largest index an array can hold
@@ -235,8 +234,8 @@ class ScenarioConfig:
         # the quotient of two decimal inputs misses its whole number by rounding only
         if abs(self.duration / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise InvalidInputError(f"duration: {self.duration} s is not a whole number of {self.dt} s steps")
-        # a batch's largest arrays: its trajectories (BATCH_SIZE, steps + 1, vehicles, 3),
-        # its moment block and its reception planes (RECEPTION_BLOCK slots, at most)
+        # a batch's largest arrays: its trajectories (BATCH_SIZE, steps + 1, vehicles, 3)
+        # and its reception planes (RECEPTION_BLOCK slots, at most)
         if BATCH_SIZE * max(self.n_steps + 1, RECEPTION_BLOCK) * self.n_vehicles * 3 > _COUNT_MAX:
             raise InvalidInputError(f"n_followers: {self.n_followers} followers over {self.n_steps} steps "
                                     "(duration / dt) need arrays larger than numpy can describe")
@@ -669,29 +668,23 @@ def _chunks(indices) -> list[np.ndarray]:
 def _batch_sums(sc: ScenarioConfig, chunk: np.ndarray, shape: tuple[int, ...], sample):
     """One batch's per-grid-point sum and sum of squares of sample(k, x, v, a, e), and its events.
 
-    sample returns the batch's samples vehicle-major, shape + (R,).  Each
-    grid point's realization-major rows are copied into an (R, SUM_BLOCK,
-    *shape) block, which is reduced over its first axis once every SUM_BLOCK
-    grid points.  numpy adds the rows of an axis-0 reduction one after
-    another in realization order, so every sum keeps the bits of adding
-    rows.sum(axis=0) grid point by grid point.
+    sample returns the batch's samples vehicle-major, as a C-contiguous
+    shape + (R,) array that is only read.  Each grid point is summed in place
+    along its contiguous realization rows, which numpy adds pairwise, so
+    every sum's bits depend only on the batch's values and its length.  The
+    squares go into one buffer the batch reuses: a fresh one per grid point,
+    freed with the sample, let the allocator return the heap's top and
+    fault it back in at every step, and measured slower than the old block.
     """
-    T = sc.n_steps
-    total = np.zeros((T + 1,) + shape)
+    total = np.zeros((sc.n_steps + 1,) + shape)
     sumsq = np.zeros_like(total)
-    # numpy sums a lone column pairwise, not row by row: a one-element
-    # sample is reduced one grid point at a time to keep those bits
-    width = SUM_BLOCK if math.prod(shape) > 1 else 1
-    block = np.empty((len(chunk), width) + shape)
+    sq = np.empty(shape + (len(chunk),))
 
     def on_step(k, x, v, a, e):
-        """Copy grid point k's rows into the block; reduce the block when it is full or k is the last."""
-        j = k % width
-        block[:, j] = np.moveaxis(sample(k, x, v, a, e), -1, 0)
-        if j == width - 1 or k == T:
-            rows = block[:, : j + 1]
-            total[k - j : k + 1] += rows.sum(axis=0)
-            sumsq[k - j : k + 1] += (rows * rows).sum(axis=0)
+        s = sample(k, x, v, a, e)
+        s.sum(axis=-1, out=total[k])
+        np.multiply(s, s, out=sq)
+        sq.sum(axis=-1, out=sumsq[k])
 
     _, _, events, _ = _simulate_batch(sc, chunk, on_step=on_step)
     return total, sumsq, events

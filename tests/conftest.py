@@ -1,10 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from check_stop_crossings import plain_bisection
 from platoonkit.control import ControllerConfig
-from platoonkit.dynamics import VehicleParams, VehicleState
+from platoonkit.dynamics import VehicleParams, VehicleState, step_vehicle, zoh_coefficients
 
 
 @pytest.fixture
@@ -37,21 +39,48 @@ def random_stable_config(rng: np.random.Generator, gamma: float | None = None):
             return cfg, tau, g
 
 
-def reference_platoon_sim(scenario, receptions=None, wfactor=None, decel_limits=None, events=None):
+def reference_step(state: VehicleState, u: float, dt: float, params: VehicleParams, stops=None) -> VehicleState:
+    """step_vehicle with a stop of its own: it never calls stop_crossing_time.
+
+    Where the ZOH velocity at dt is negative and step_vehicle would bisect,
+    the crossing time s is the plain bisection's (all 80 halvings of [0, dt],
+    scripts/check_stop_crossings.py) and the vehicle stops at the closed-form
+    position x + v*s + a*tau*(s - tau*r) + u*(s*s/2 - tau*(s - tau*r)),
+    r = 1 - exp(-s/tau); ((v, a, u, tau, dt), s) is appended to stops (a
+    list, if given).  Every other step, a held stop included, is
+    step_vehicle's, which then does not bisect.
+    """
+    tau = params.tau
+    _, _, c_va, c_vu, _, _ = zoh_coefficients(tau, dt)
+    held = state.v == 0.0 and state.a <= 0.0 and (state.a < 0.0 or u <= 0.0)
+    if held or not state.v + state.a * c_va + u * c_vu < 0.0:
+        return step_vehicle(state, u, dt, params)
+    s = plain_bisection(state.v, state.a, u, tau, dt)
+    if stops is not None:
+        stops.append(((state.v, state.a, u, tau, dt), s))
+    lag = s - tau * -math.expm1(-s / tau)
+    return VehicleState(state.x + (state.v * s + state.a * tau * lag + u * (0.5 * s * s - tau * lag)), 0.0, 0.0)
+
+
+def reference_platoon_sim(scenario, receptions=None, wfactor=None, decel_limits=None, events=None, stops=None):
     """Scalar-loop platoon simulation built from the public step/control ops.
 
-    Independent of the vectorized engine: one step_vehicle call per vehicle
-    per step, controls through cacc_control/acc_control/saturate.  receptions
-    is an optional (n_followers, n_steps) boolean array; wfactor (if given)
-    scales the feed-forward deterministically instead.  decel_limits holds
-    one braking limit per vehicle (default: the scenario's).  A leader that
-    brakes at its limit commands -limit while moving, else 0.  When two
-    adjacent vehicles first overlap, both are held where they are with
-    v = a = 0 from then on, and the pair's (time, lead, follower) is appended
-    to events (a list, if given) once.
+    Independent of the vectorized engine: one reference_step call per
+    vehicle per step, so a stop time comes from the plain bisection and not
+    from stop_crossing_time; controls through cacc_control/acc_control/
+    saturate.  receptions is an optional (n_followers, n_steps) boolean
+    array; wfactor (if given) scales the feed-forward deterministically
+    instead.  decel_limits holds one braking limit per vehicle (default: the
+    scenario's).  A leader that brakes at its limit commands -limit while
+    moving, else 0.  When two adjacent vehicles first overlap, both are held
+    where they are with v = a = 0 from then on, and the pair's (time, lead,
+    follower) is appended to events (a list, if given) once.  A position at
+    rest does not move with an error in its stop time, so stops (a list, if
+    given) receives each bisected stop's arguments and time (see
+    reference_step).
     """
     from platoonkit.control import acc_control, cacc_control, saturate
-    from platoonkit.dynamics import leader_input, spacing_error, step_vehicle
+    from platoonkit.dynamics import leader_input, spacing_error
 
     sc = scenario
     M = sc.n_vehicles
@@ -96,7 +125,7 @@ def reference_platoon_sim(scenario, receptions=None, wfactor=None, decel_limits=
                                      sc.controller, sc.standstill_gap)
             commands.append(u)
         new = [
-            prev[i] if frozen[i] else step_vehicle(prev[i], saturate(commands[i], params[i]), sc.dt, params[i])
+            prev[i] if frozen[i] else reference_step(prev[i], saturate(commands[i], params[i]), sc.dt, params[i], stops)
             for i in range(M)
         ]
         for p in range(M - 1):

@@ -11,7 +11,6 @@ from platoonkit.dynamics import (
     VehicleParams,
     VehicleState,
     _certified_window,
-    _velocity_at,
     leader_command,
     leader_input,
     spacing_error,
@@ -19,7 +18,7 @@ from platoonkit.dynamics import (
     stop_crossing_time,
 )
 from platoonkit.errors import InvalidInputError
-from check_stop_crossings import random_crossings
+from check_stop_crossings import plain_bisection, random_crossings
 
 
 def rk4_oracle(x, v, a, u, tau, dt, n=20_000):
@@ -120,18 +119,6 @@ class TestStepVehicle:
             assert cur.v >= 0.0
 
 
-def full_bisection(v, a, u, tau, dt):
-    """All 80 halvings of [0, dt] on _velocity_at: no early exit, no window."""
-    lo, hi = 0.0, dt
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _velocity_at(v, a, u, tau, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 class TestStopCrossing:
     def test_matches_full_bisection(self):
         # the early exit and the certified window return bit for bit what all
@@ -140,7 +127,7 @@ class TestStopCrossing:
         # a small creep command u > 0, so v and a span many decades
         checked = 0
         for case in random_crossings(np.random.default_rng(8), 60_000):
-            assert stop_crossing_time(*case) == full_bisection(*case), case
+            assert stop_crossing_time(*case) == plain_bisection(*case), case
             v, a, u, tau, dt = case
             # the certified window is what was checked: only a start at rest
             # (the crossing is at 0) is refused it
@@ -174,7 +161,7 @@ class TestStopCrossing:
     )
     def test_edge_cases_match_full_bisection(self, case, expected, windowed):
         got = stop_crossing_time(*case)
-        assert got == full_bisection(*case)
+        assert got == plain_bisection(*case)
         if expected is not None:
             assert got == expected
         v, a, u, tau, dt = case

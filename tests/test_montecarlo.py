@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import os
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_platoon_sim
-from platoonkit import montecarlo
+from platoonkit import dynamics, montecarlo
 from platoonkit.channel import GilbertParams, channel_step, iid_channel, initial_state
 from platoonkit.control import ControllerConfig
 from platoonkit.dynamics import LeaderProfile, LeaderSegment, VehicleParams
@@ -19,7 +20,6 @@ from platoonkit.montecarlo import (
     BATCH_SIZE,
     RECEPTION_BLOCK,
     RECEPTION_TILE,
-    SUM_BLOCK,
     ChannelSpec,
     DecelDistribution,
     ScenarioConfig,
@@ -433,16 +433,33 @@ class TestSafetyOracle:
     collision freezing, bit for bit."""
 
     @pytest.mark.parametrize("mode", ["acc", "cacc"])
-    def test_crash_study_matches_scalar_reference(self, mode):
+    def test_crash_study_matches_scalar_reference(self, mode, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the reference stops on its own bisection, not on stop_crossing_time")
+
+        engine_bisection = montecarlo.stop_crossing_time
+        bisected = []
+
+        def spy(*args):
+            s = engine_bisection(*args)
+            bisected.append((args, s))
+            return s
+
+        # step_vehicle reads dynamics' binding, both engine loops montecarlo's
+        monkeypatch.setattr(dynamics, "stop_crossing_time", refused)
+        monkeypatch.setattr(montecarlo, "stop_crossing_time", spy)
         sc = crash_study(controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0, mode=mode))
         runs = run_realizations(sc, range(40))
+        in_batch = Counter(bisected)
+        bisected.clear()
         # one realization at a time takes the float loop, a batch the batched one
         alone = [run_realization(sc, i) for i in range(40)]
+        stops = []
         n_collided = 0
         for r, single in zip(runs, alone):
             limits = sc.decel_dist.sample(sc.n_vehicles, decel_stream(sc.base_seed, r.index))
             events = []
-            states, errors = reference_platoon_sim(sc, decel_limits=limits, events=events)
+            states, errors = reference_platoon_sim(sc, decel_limits=limits, events=events, stops=stops)
             for run in (r, single):
                 assert np.array_equal(run.decel_limits, limits)
                 assert np.array_equal(run.states, states), run.index
@@ -452,6 +469,10 @@ class TestSafetyOracle:
         # the paths under test ran: some runs collided, some did not, and vehicles stopped
         assert 0 < n_collided < 40
         assert any((r.states[1:, :, 1] == 0.0).any() for r in runs)
+        # both loops bisect the reference's stops, to the plain bisection's
+        # times; the lone loop also bisects rows that a restart discards
+        assert len(stops) > 50
+        assert in_batch == Counter(stops) and set(stops) <= set(bisected)
 
 
 class TestStopClamp:
@@ -700,48 +721,67 @@ class TestParallelBatches:
 
 
 class TestMoments:
-    """_moments sums blocks of SUM_BLOCK grid points at once, with the bits of a per-point loop."""
+    """_moments sums each grid point pairwise along its contiguous realization row."""
 
     @staticmethod
-    def per_point(samples):
-        """The per-point loop over (points, realizations, *shape) samples: sums and ddof=1 variances."""
-        n = samples.shape[1]
-        total = np.zeros((samples.shape[0],) + samples.shape[2:])
-        sumsq = np.zeros_like(total)
-        for k, rows in enumerate(samples):
-            total[k] += rows.sum(axis=0)
-            sumsq[k] += (rows * rows).sum(axis=0)
-        var = np.maximum((sumsq - total * total / n) / (n - 1), 0.0) if n > 1 else np.zeros_like(total)
-        return total, var
+    def samples(n):
+        """(scenario, deterministic-equivalent states, spacing errors, state deviations) of n Gilbert runs.
 
-    # grid points: below, at, one past and off a multiple of SUM_BLOCK
-    @pytest.mark.parametrize("n_steps", [4, 15, 16, 36])
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_blocked_sums_match_per_point_loop(self, n_steps, n):
-        assert 5 < SUM_BLOCK < 37
+        The samples are C-contiguous (points, followers, n) and (points,
+        vehicles, 3, n) arrays: one realization row per grid point and component.
+        """
         sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.3, 0.1, 0.2)),
-                            leader=LeaderProfile((LeaderSegment(0.0, -2.0),)), duration=n_steps * 0.01)
+                            leader=LeaderProfile((LeaderSegment(0.0, -2.0),)), duration=1.0)
         runs = run_realizations(sc, range(n))
         det = run_realization(montecarlo.deterministic_equivalent(sc), 0).states
+        errors = np.stack([r.spacing_errors for r in runs], axis=-1)
+        deviations = np.stack([r.states for r in runs], axis=-1) - det[..., None]
+        return sc, det, errors, deviations
 
-        total, var, _ = montecarlo._moments(sc, n, (sc.n_followers,), montecarlo._spacing_error)
-        ref_total, ref_var = self.per_point(np.stack([r.spacing_errors for r in runs], axis=1))
-        assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
+    @staticmethod
+    def moments(sc, det, n):
+        """_moments of the spacing errors and of the state deviations."""
+        return (montecarlo._moments(sc, n, (sc.n_followers,), montecarlo._spacing_error)[:2],
+                montecarlo._moments(sc, n, (sc.n_vehicles, 3), functools.partial(montecarlo._state_deviation, det))[:2])
 
-        sample = functools.partial(montecarlo._state_deviation, det)
-        total, var, _ = montecarlo._moments(sc, n, (sc.n_vehicles, 3), sample)
-        ref_total, ref_var = self.per_point(np.stack([r.states for r in runs], axis=1) - det[:, None])
-        assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
-        assert np.any(total != 0.0)
+    # n = 300 is past numpy's 128-element pairwise block, so the sum splits
+    # recursively and differs from adding the realizations one after another
+    @pytest.mark.parametrize("n", [1, 3, 300])
+    def test_sums_match_per_point_rows(self, n):
+        sc, det, errors, deviations = self.samples(n)
+        for (total, var), samples in zip(self.moments(sc, det, n), (errors, deviations)):
+            ref_total = np.array([rows.sum(axis=-1) for rows in samples])
+            ref_sumsq = np.array([(rows * rows).sum(axis=-1) for rows in samples])
+            ref_var = np.maximum((ref_sumsq - ref_total * ref_total / n) / (n - 1), 0.0) if n > 1 else np.zeros_like(ref_total)
+            assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
+            assert np.any(total != 0.0)
+            if n == 300:
+                one_by_one = np.zeros_like(ref_total)
+                for r in range(n):
+                    one_by_one += samples[..., r]
+                assert not np.array_equal(ref_total, one_by_one)
 
-    def test_one_follower_keeps_pairwise_bits(self):
-        # numpy sums a lone column pairwise once it has 8 or more rows
-        sc = small_scenario(n_followers=1, channel=ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.3, 0.1, 0.2)),
-                            leader=EARLY_BRAKE, duration=2.0)
-        runs = run_realizations(sc, range(20))
-        total, var, _ = montecarlo._moments(sc, 20, (1,), montecarlo._spacing_error)
-        ref_total, ref_var = self.per_point(np.stack([r.spacing_errors for r in runs], axis=1))
-        assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
+    def test_sums_near_fsum(self):
+        # tolerances, set from the summation order: numpy halves the 300 terms
+        # down to blocks of 72 to 84, each summed by eight interleaved
+        # accumulators, so no term goes through more than 18 additions, and
+        # each sum lies within 18 unit roundoffs (2**-53) of the sum of its
+        # magnitudes from math.fsum's exact sum; 2**-48 is 32 of them.  The variance
+        # (sumsq - total**2 / n) / (n - 1) takes 18 from sumsq and 36 from
+        # total**2 / n (|total| * sum|x| / n <= sumsq), plus a few roundings,
+        # in units of sumsq / (n - 1): 2**-47 is 64 of them, against a
+        # two-pass fsum variance
+        n = 300
+        sc, det, errors, deviations = self.samples(n)
+        for (total, var), samples in zip(self.moments(sc, det, n), (errors, deviations)):
+            rows = samples.reshape(-1, n)
+            exact = np.array([math.fsum(row) for row in rows])
+            assert np.all(np.abs(total.ravel() - exact) <= 2.0**-48 * np.abs(rows).sum(axis=1))
+            means = exact / n
+            exact_var = np.array([math.fsum((row - m) ** 2) for row, m in zip(rows, means)]) / (n - 1)
+            scale = (rows * rows).sum(axis=1) / (n - 1)
+            assert np.all(np.abs(var.ravel() - exact_var) <= 2.0**-47 * scale)
+            assert np.count_nonzero(exact_var) > rows.shape[0] // 2
 
     def test_batches_that_miss_a_realization_are_config_error(self):
         # np.arange(n) is empty for n >= 2**63 - 512: no batch would run

@@ -672,9 +672,10 @@ def _batch_sums(sc: ScenarioConfig, chunk: np.ndarray, shape: tuple[int, ...], s
     shape + (R,) array that is only read.  Each grid point is summed in place
     along its contiguous realization rows, which numpy adds pairwise, so
     every sum's bits depend only on the batch's values and its length.  The
-    squares go into one buffer the batch reuses: a fresh one per grid point,
-    freed with the sample, let the allocator return the heap's top and
-    fault it back in at every step, and measured slower than the old block.
+    squares go into one buffer the batch reuses: a fresh square per grid
+    point, freed with the sample, lets the allocator give back the heap's
+    top and fault it in again at every step (slower than the old block, as
+    measured in a fresh process).
     """
     total = np.zeros((sc.n_steps + 1,) + shape)
     sumsq = np.zeros_like(total)

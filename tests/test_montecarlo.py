@@ -724,14 +724,14 @@ class TestMoments:
     """_moments sums each grid point pairwise along its contiguous realization row."""
 
     @staticmethod
-    def samples(n):
+    def samples(n, n_steps=100):
         """(scenario, deterministic-equivalent states, spacing errors, state deviations) of n Gilbert runs.
 
         The samples are C-contiguous (points, followers, n) and (points,
         vehicles, 3, n) arrays: one realization row per grid point and component.
         """
         sc = small_scenario(channel=ChannelSpec(kind="gilbert", gilbert=GilbertParams(0.3, 0.1, 0.2)),
-                            leader=LeaderProfile((LeaderSegment(0.0, -2.0),)), duration=1.0)
+                            leader=LeaderProfile((LeaderSegment(0.0, -2.0),)), duration=n_steps * 0.01)
         runs = run_realizations(sc, range(n))
         det = run_realization(montecarlo.deterministic_equivalent(sc), 0).states
         errors = np.stack([r.spacing_errors for r in runs], axis=-1)
@@ -744,18 +744,22 @@ class TestMoments:
         return (montecarlo._moments(sc, n, (sc.n_followers,), montecarlo._spacing_error)[:2],
                 montecarlo._moments(sc, n, (sc.n_vehicles, 3), functools.partial(montecarlo._state_deviation, det))[:2])
 
-    # n = 300 is past numpy's 128-element pairwise block, so the sum splits
-    # recursively and differs from adding the realizations one after another
+    # every point of a short, an odd-length and a 1 s grid is summed.  n = 300
+    # is past numpy's 128-element pairwise block, so the sum splits
+    # recursively; on the 1 s grid it differs from adding the realizations
+    # one after another (on the shorter ones the two orders happen to agree)
+    @pytest.mark.parametrize("n_steps", [4, 37, 100])
     @pytest.mark.parametrize("n", [1, 3, 300])
-    def test_sums_match_per_point_rows(self, n):
-        sc, det, errors, deviations = self.samples(n)
+    def test_sums_match_per_point_rows(self, n, n_steps):
+        sc, det, errors, deviations = self.samples(n, n_steps)
+        assert errors.shape[0] == deviations.shape[0] == n_steps + 1
         for (total, var), samples in zip(self.moments(sc, det, n), (errors, deviations)):
             ref_total = np.array([rows.sum(axis=-1) for rows in samples])
             ref_sumsq = np.array([(rows * rows).sum(axis=-1) for rows in samples])
             ref_var = np.maximum((ref_sumsq - ref_total * ref_total / n) / (n - 1), 0.0) if n > 1 else np.zeros_like(ref_total)
             assert np.array_equal(total, ref_total) and np.array_equal(var, ref_var)
             assert np.any(total != 0.0)
-            if n == 300:
+            if n == 300 and n_steps == 100:
                 one_by_one = np.zeros_like(ref_total)
                 for r in range(n):
                     one_by_one += samples[..., r]

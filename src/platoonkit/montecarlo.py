@@ -39,11 +39,10 @@ finished rows.  Every step operation is a binary64 +, -, *, comparison,
 max/min or select, rounded correctly and uncontracted by both numpy and
 CPython, and each vehicle keeps the batched loop's operations and operand
 order, so it gives the same bits.  A collision, the one backward coupling,
-also freezes the pair's front vehicle: the vehicles then run in passes to
-the horizon, each checked afterwards by one detect_collisions call, whose
-first overlap freezes the pairs that overlap there; the next pass restarts
-from that step and from the first frozen pair's front vehicle, filling a
-frozen vehicle's rows instead of stepping it.  Batch size alone selects the loop.
+also freezes the pair's front vehicle, which one pass vehicle by vehicle
+cannot do: one detect_collisions call on the finished rows hands a run in
+which any pair overlaps to the batched loop as a batch of one, so only the
+batched loop freezes pairs.  Batch size and that check alone select the loop.
 """
 
 from __future__ import annotations
@@ -417,15 +416,17 @@ def _simulate_batch(
     The clamp then pins u to a signed zero, so the unchanged step gives
     a' = v' = +0.0, no stop clamp, and x' = x (no position is -0.0).
 
-    One realization without on_step goes to _simulate_one, which does this
-    loop's arithmetic on Python floats in the same operand order and so
-    returns the same bits (its docstring gives the argument) and fills a
-    frozen vehicle's rows instead of stepping it; a batch of two or more, or
-    any batch with on_step, runs here.
+    One realization without on_step goes to _simulate_one first, which does
+    this loop's arithmetic on Python floats in the same operand order and so
+    returns the same bits (its docstring gives the argument).  It hands back
+    a run in which any pair overlaps; that run, a batch of two or more, or
+    any batch with on_step runs here.
     """
     indices = np.asarray(indices, dtype=int)
     if len(indices) == 1 and on_step is None:
-        return _simulate_one(sc, indices)
+        one = _simulate_one(sc, indices)
+        if one is not None:
+            return one
     R, M, F, T = len(indices), sc.n_vehicles, sc.n_followers, sc.n_steps
     cfg = sc.controller
     dt, tau, d, hw = sc.dt, sc.params.tau, sc.standstill_gap, cfg.h_w
@@ -522,7 +523,7 @@ def _simulate_batch(
 
 
 def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
-    """_simulate_batch for one realization and no on_step hook, run vehicle by vehicle on Python floats.
+    """_simulate_batch for one realization and no on_step hook, on Python floats; None if a pair overlaps.
 
     Follower i reads only vehicle i-1 and itself, so the leader runs its
     whole horizon first, and each follower then runs its whole horizon
@@ -543,19 +544,13 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
     errors are x[1:] - x[:-1] + d + hw*v[1:] on the finished rows.
 
     A collision, the one backward coupling, also freezes the pair's front
-    vehicle, so the vehicles run in passes from a step k0, at first 0, with
-    no collision test inside the step loop.  A pass runs every vehicle from
-    `first`, at first the leader, to the horizon; one detect_collisions call
-    on the rows after k0 then gives the next collision step S, the first
-    step at which an open pair overlaps.  This is exact: a row depends only
-    on the rows ahead of it and on collisions, so at the end of a pass each
-    row differs from the true trajectory only after the next collision.
-    Every row is thus final up to S, and the call finds at S the hit the
-    batched loop computes there.  Every pair that overlaps at S freezes, in
-    pair order: its event is logged and its v, a are zeroed there.  The next
-    pass starts at S from the front vehicle of the first frozen pair, whose
-    later rows no longer hold; the vehicles ahead of it read nothing behind
-    them, so their rows stay.  A pass that finds no overlap ends the run.
+    vehicle, so the step loop holds no collision test: each vehicle runs
+    once, from step 0 to the horizon.  One detect_collisions call on the
+    rows after step 0 then checks the run.  The batched loop's rows equal
+    these up to its first hit, so a first hit there would show here as an
+    overlap at the same step: with no overlap the rows are exact.  If any
+    pair overlaps, this returns None, and _simulate_batch runs the
+    realization in its batched loop, the one place that freezes pairs.
 
     At most two vehicles' rows are Python lists at a time; the rows go into
     one (x/v/a, vehicle, step) float64 buffer whose transposed view is the
@@ -576,43 +571,22 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
 
     limits = _decel_limits(sc, indices)
     floor = (-limits[0]).tolist()
-    lengths = np.full(M, sc.params.length)
 
     buf = np.empty((3, M, T + 1))
-    x = 0.0
+    x0 = 0.0
+    # the leader reads no predecessor, and without feed-forward ff stays zero
+    xp = vp = ff = [0.0] * T
     for i in range(M):
-        buf[0, i, 0] = x
-        x = x - d - hw * sc.initial_speed
-    buf[1, :, 0] = float(sc.initial_speed)
-    buf[2, :, 0] = 0.0
-    frozen = [False] * M
-    open_pairs = np.ones(F, dtype=bool)
-    events: list[tuple[float, int, int]] = []
-
-    def run(i, k0, pred):
-        """Vehicle i from step k0 to the horizon; returns its x, v rows from k0 on, as lists.
-
-        pred holds the predecessor's x and v rows from k0 on, as lists.
-        """
-        x, v, a = buf[:, i, k0].tolist()
-        n = T - k0
-        if frozen[i]:
-            buf[0, i, k0 + 1 :] = x
-            buf[1:, i, k0 + 1 :] = 0.0
-            return [x] * (n + 1), [0.0] * (n + 1)
-        if i > 0:
-            xp, vp = pred
+        x, v, a = x0, float(sc.initial_speed), 0.0
+        x0 = x0 - d - hw * sc.initial_speed
+        if i:
             if got is not None:
-                ff = np.where(got[i - 1, k0:], k_a * buf[2, i - 1, k0:T], 0.0).tolist()
+                ff = np.where(got[i - 1], k_a * buf[2, i - 1, :T], 0.0).tolist()
             elif ka_w != 0.0:
-                ff = (ka_w * buf[2, i - 1, k0:T]).tolist()
-            else:
-                ff = [0.0] * n
-        else:   # the leader reads no predecessor
-            xp = vp = ff = [0.0] * n
+                ff = (ka_w * buf[2, i - 1, :T]).tolist()
         xs, vs, as_ = [x], [v], [a]
         fl = floor[i]
-        for k, xq, vq, f in zip(range(k0, T), xp, vp, ff):
+        for k, xq, vq, f in zip(range(T), xp, vp, ff):
             if i:
                 u = f - k_v * (v - vq) - k_p * (x - xq + d + hw * v)
             else:
@@ -634,29 +608,15 @@ def _simulate_one(sc: ScenarioConfig, indices: np.ndarray):
             xs.append(x)
             vs.append(v)
             as_.append(a)
-        buf[0, i, k0:] = xs
-        buf[1, i, k0:] = vs
-        buf[2, i, k0:] = as_
-        return xs, vs
+        buf[0, i] = xs
+        buf[1, i] = vs
+        buf[2, i] = as_
+        xp, vp = xs, vs
 
-    k0 = first = 0
-    while True:
-        pred = buf[:2, first - 1, k0:].tolist() if first else None
-        for i in range(first, M):
-            pred = run(i, k0, pred)
-        steps, pairs = np.nonzero(detect_collisions(buf[0, :, k0 + 1 :].T, lengths) & open_pairs)
-        if not len(steps):
-            break
-        hits = pairs[steps == steps[0]].tolist()
-        k0, first = k0 + 1 + int(steps[0]), hits[0]
-        for p in hits:
-            open_pairs[p] = False
-            events.append((k0 * dt, p, p + 1))
-            frozen[p] = frozen[p + 1] = True
-            buf[1:, p : p + 2, k0] = 0.0
-
+    if detect_collisions(buf[0, :, 1:].T, np.full(M, sc.params.length)).any():
+        return None
     e = buf[0, 1:] - buf[0, :-1] + d + hw * buf[1, 1:]
-    return e.T[None], buf.T[None], [events], limits
+    return e.T[None], buf.T[None], [[]], limits
 
 
 def _chunks(indices) -> list[np.ndarray]:

@@ -452,7 +452,8 @@ class TestSafetyOracle:
         runs = run_realizations(sc, range(40))
         in_batch = Counter(bisected)
         bisected.clear()
-        # one realization at a time takes the float loop, a batch the batched one
+        # one realization at a time takes the float loop, and a colliding one
+        # then the batched loop; a batch takes the batched loop
         alone = [run_realization(sc, i) for i in range(40)]
         stops = []
         n_collided = 0
@@ -470,7 +471,8 @@ class TestSafetyOracle:
         assert 0 < n_collided < 40
         assert any((r.states[1:, :, 1] == 0.0).any() for r in runs)
         # both loops bisect the reference's stops, to the plain bisection's
-        # times; the lone loop also bisects rows that a restart discards
+        # times; the lone loop also bisects the rows of a colliding run,
+        # which it hands to the batched loop
         assert len(stops) > 50
         assert in_batch == Counter(stops) and set(stops) <= set(bisected)
 
@@ -576,8 +578,26 @@ class TestOneRealizationLoop:
             assert np.array_equal(alone.spacing_errors, errors)
             assert alone.collision_events == tuple(events)
 
-    # the orders in which a lone run's passes meet collisions, read off a
-    # run's (time, lead, follower) events
+    @pytest.mark.parametrize("mode", ["acc", "cacc"])
+    def test_a_colliding_run_is_handed_to_the_batched_loop(self, mode):
+        sc = crash_study(controller=ControllerConfig(k_a=0.25, k_v=0.8, k_p=2.0, h_w=1.0, mode=mode))
+        runs = run_realizations(sc, range(40))
+        collided = next(r.index for r in runs if r.collided)
+        clear = next(r.index for r in runs if not r.collided)
+        # standstill_gap + h_w * initial_speed < length: the string overlaps at its first step
+        overlapped = small_scenario(standstill_gap=1.0, initial_speed=10.0, duration=1.0,
+                                    controller=ControllerConfig(k_a=0.4, k_v=1.0, k_p=0.8, h_w=0.1, mode=mode))
+        assert montecarlo._simulate_one(sc, np.array([collided])) is None
+        assert montecarlo._simulate_one(overlapped, np.array([0])) is None
+        # a run that collides nowhere stays in the float loop, with the batch's bits
+        err, states, events, limits = montecarlo._simulate_one(sc, np.array([clear]))
+        assert events == [[]]
+        assert states[0].tobytes() == runs[clear].states.tobytes()
+        assert err[0].tobytes() == runs[clear].spacing_errors.tobytes()
+        assert limits[0].tobytes() == runs[clear].decel_limits.tobytes()
+
+    # the orders in which a run's pairs close, read off its (time, lead,
+    # follower) events; a lone run that collides goes to the batched loop
     RESTART_CASES = {
         "rear pair closes before a front pair":
             lambda evs: any(t2 < t1 and p2 > p1 for t1, p1, _ in evs for t2, p2, _ in evs),

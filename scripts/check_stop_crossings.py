@@ -21,6 +21,7 @@ Exits 1 on any mismatch.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -72,9 +73,11 @@ def census(mode: str, realizations: int) -> list[tuple]:
         calls.append(args)
         return engine_call(*args)
 
+    sc = load_scenario(SAFETY)
+    sc = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode), realizations=realizations)
     montecarlo.stop_crossing_time = record
     try:
-        montecarlo.run_safety_study(load_scenario(SAFETY), mode=mode, realizations=realizations)
+        montecarlo.run_safety_study(sc)
     finally:
         montecarlo.stop_crossing_time = engine_call
     return calls

@@ -8,6 +8,7 @@ prints the comparison table.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -27,14 +28,16 @@ def main() -> int:
     args = parser.parse_args()
 
     sc = load_scenario(args.scenario)
+    if args.realizations is not None:
+        sc = dataclasses.replace(sc, realizations=args.realizations)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     stats = {}
     for mode in ("acc", "cacc"):
         t0 = time.perf_counter()
-        stats[mode] = run_safety_study(sc, mode=mode, realizations=args.realizations)
-        s = stats[mode]
+        controller = dataclasses.replace(sc.controller, mode=mode)
+        stats[mode] = s = run_safety_study(dataclasses.replace(sc, controller=controller))
         print(f"{mode:4s}: n={s.n_realizations}  p_collision={s.p_collision:.4f}  "
               f"mean_events_per_unstable="
               f"{'n/a' if s.mean_events_per_unstable is None else f'{s.mean_events_per_unstable:.3f}'}"

@@ -1,24 +1,25 @@
 """Command-line front end: scenario parsing, experiment orchestration, emission.
 
 Each command is a function of typed keyword arguments: its output directory
-`out`, then the parsed flags, with the scenario loaded and `--seed` applied to
-its `base_seed`.  Every command runs through `_run`, which calls it and writes
-a run manifest (command, config, version, config hash, outputs) next to its
-outputs.  The config is every argument but `out`, the scenario as every field
-of its dataclasses and a None as null.  `rerun` reads that config back against
-the command's signature and type hints with the builder that reads the
-scenario, so a missing, unknown, wrongly typed or refused value (a manifest of
-an older format among them) is a config error, and passes it through `_run`
-to reproduce the outputs byte for byte.  A rejected value is named in the
-terms of whoever wrote it: a scenario file's `section.key`, a manifest's
-`manifest.config...` table and key, a flag's parameter (`realizations`,
-`n_realizations`, `realization_index`, `alpha_star`).  CSVs are shaped for
-direct plotting and carry no volatile fields.  Commands hand raw values to
-`write_csv` and `write_summary`, which write every float round-trip, refuse a
-non-finite one naming its file and key, and return the file name for the
-manifest's outputs.  Exit codes: 0 success, 2 configuration error or bad flag
-value, 3 numerical error (a failed solve or a non-finite result), 4 I/O error,
-5 out of memory or a worker process died.
+`out`, then the parsed flags, with the scenario loaded and `--seed`, `--mode`
+and `--realizations` applied to its `base_seed`, `controller.mode` and
+`realizations`, so the scenario alone describes the experiment.  Every command
+runs through `_run`, which calls it and writes a run manifest (command,
+config, version, config hash, outputs) next to its outputs.  The config is
+every argument but `out`, the scenario as every field of its dataclasses and a
+None as null.  `rerun` reads that config back against the command's signature
+and type hints with the builder that reads the scenario, so a missing,
+unknown, wrongly typed or refused value (a manifest of an older format among
+them) is a config error, and passes it through `_run` to reproduce the outputs
+byte for byte.  A rejected value is named in the terms of whoever wrote it: a
+scenario file's `section.key`, a manifest's `manifest.config...` table and
+key, a flag's parameter (`realizations`, `realization_index`, `alpha_star`).
+CSVs are shaped for direct plotting and carry no volatile fields.  Commands
+hand raw values to `write_csv` and `write_summary`, which write every float
+round-trip, refuse a non-finite one naming its file and key, and return the
+file name for the manifest's outputs.  Exit codes: 0 success, 2 configuration
+error or bad flag value, 3 numerical error (a failed solve or a non-finite
+result), 4 I/O error, 5 out of memory or a worker process died.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from json import dumps as to_json
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -196,13 +197,11 @@ def cmd_bound(out: Path, scenario: ScenarioConfig, alpha_star: float) -> list[st
     return outputs
 
 
-def cmd_montecarlo(
-    out: Path, scenario: ScenarioConfig, mode: Literal["acc", "cacc"] | None, realizations: int | None
-) -> list[str]:
-    stats = run_safety_study(scenario, mode=mode, realizations=realizations)
+def cmd_montecarlo(out: Path, scenario: ScenarioConfig) -> list[str]:
+    stats = run_safety_study(scenario)
     variances = {f"var_e{i + 1}_m2": stats.variance_series[:, i] for i in range(scenario.n_followers)}
     events = stats.mean_events_per_unstable
-    mode = mode or scenario.controller.mode
+    mode = scenario.controller.mode
     outputs = [
         write_csv(out / "variance_series.csv", {"time_s": stats.times, **variances}),
         write_summary(out / "safety_stats.txt", {
@@ -220,8 +219,8 @@ def cmd_montecarlo(
     return outputs
 
 
-def cmd_validate_mean(out: Path, scenario: ScenarioConfig, realizations: int) -> list[str]:
-    report = validate_mean_trajectory(scenario, realizations)
+def cmd_validate_mean(out: Path, scenario: ScenarioConfig) -> list[str]:
+    report = validate_mean_trajectory(scenario)
     summary = {
         "command": "validate-mean",
         "realizations": report.n_realizations,
@@ -334,10 +333,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if command == "rerun":
             return cmd_rerun(Path(config["manifest"]), out)
-        seed = config.pop("seed", None)
+        seed, mode, realizations = (config.pop(flag, None) for flag in ("seed", "mode", "realizations"))
         if "scenario" in config:
             sc = load_scenario(config["scenario"])
-            config["scenario"] = sc if seed is None else dataclasses.replace(sc, base_seed=seed)
+            if mode is not None:
+                sc = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode))
+            overrides = {"base_seed": seed, "realizations": realizations}
+            config["scenario"] = dataclasses.replace(sc, **{k: v for k, v in overrides.items() if v is not None})
         return _run(command, config, out)
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -651,8 +651,8 @@ def _batch_sums(sc: ScenarioConfig, chunk: np.ndarray, shape: tuple[int, ...], s
     return total, sumsq, events
 
 
-def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
-    """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1.
+def _moments(sc: ScenarioConfig, shape: tuple[int, ...], sample):
+    """Per-grid-point sum and ddof=1 variance of sample(k, x, v, a, e) over realizations 0..n-1, n = sc.realizations.
 
     sample returns the vehicle-major samples of a batch, shape + (R,).
 
@@ -663,9 +663,8 @@ def _moments(sc: ScenarioConfig, n: int, shape: tuple[int, ...], sample):
     returns every realization's collision events, in index order.  The
     variance is zero for n < 2.
     """
+    n = sc.realizations
     chunks = _chunks(np.arange(n))
-    if sum(map(len, chunks)) != n:
-        raise ConfigError(f"n: {n} realizations do not fit one index array")
     batch = functools.partial(_batch_sums, sc, shape=shape, sample=sample)
     total = np.zeros((sc.n_steps + 1,) + shape)
     sumsq = np.zeros_like(total)
@@ -707,6 +706,10 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
 
     Batched; identical to one-at-a-time runs.
     """
+    indices = list(indices)
+    for idx in indices:
+        if not 0 <= idx <= _INDEX_MAX:
+            raise ConfigError(f"realization_index must be in [0, {_INDEX_MAX}], got {idx}")
     out: list[RealizationResult] = []
     for chunk in _chunks(indices):
         err, states, events, limits = _simulate_batch(sc, chunk)
@@ -728,30 +731,20 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
 
 def run_realization(sc: ScenarioConfig, realization_index: int) -> RealizationResult:
     """Simulate one seeded realization in full, state trajectories included."""
-    if not 0 <= realization_index <= _INDEX_MAX:
-        raise ConfigError(f"realization_index must be in [0, {_INDEX_MAX}], got {realization_index}")
     return run_realizations(sc, [realization_index])[0]
 
 
-def run_safety_study(
-    sc: ScenarioConfig,
-    mode: str | None = None,
-    realizations: int | None = None,
-) -> SafetyStats:
+def run_safety_study(sc: ScenarioConfig) -> SafetyStats:
     """Collision statistics and per-step cross-realization error variance, streamed.
 
-    mode ('acc'/'cacc') overrides the configured controller mode so both
-    platoon types can be compared on identical deceleration draws (the decel
-    stream depends only on base seed and realization index).
+    Runs sc.realizations realizations in sc.controller.mode.  The decel
+    stream depends only on base seed and realization index, so scenarios
+    that differ in mode alone compare both platoon types on identical draws.
     mean_events_per_unstable averages over collided realizations only and is
     None when nothing collided.
     """
-    if mode is not None:
-        sc = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode))
-    if realizations is not None:
-        sc = dataclasses.replace(sc, realizations=realizations)
     n = sc.realizations
-    _, variance, events = _moments(sc, n, (sc.n_followers,), _spacing_error)
+    _, variance, events = _moments(sc, (sc.n_followers,), _spacing_error)
     n_collided = sum(1 for evs in events if evs)
     event_total = sum(len(evs) for evs in events)
     return SafetyStats(
@@ -764,17 +757,18 @@ def run_safety_study(
     )
 
 
-def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanValidationReport:
+def validate_mean_trajectory(sc: ScenarioConfig) -> MeanValidationReport:
     """Compare the averaged stochastic state with the deterministic equivalent.
 
-    Runs n stochastic realizations, averages the full state trajectories
-    pointwise, then simulates the same scenario with the reception indicator
-    replaced by its expectation.  Requires fixed deceleration limits (the
+    Runs sc.realizations stochastic realizations, averages the full state
+    trajectories pointwise, then simulates the same scenario with the
+    reception indicator replaced by its expectation.  Requires fixed deceleration limits (the
     equivalence claim concerns channel randomness only).
     """
     # one sample has no spread: its envelope would be zero and test nothing
-    if not 2 <= n_realizations <= _COUNT_MAX:
-        raise ConfigError(f"n_realizations must be in [2, {_COUNT_MAX}], got {n_realizations}")
+    n = sc.realizations
+    if n < 2:
+        raise ConfigError(f"realizations must be in [2, {_COUNT_MAX}], got {n}")
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
     M = sc.n_vehicles
@@ -785,11 +779,11 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     # carry hundreds of metres while their spread is millimetres, so the raw
     # sum-of-squares variance would cancel catastrophically.  Centered, the
     # leader and every pre-noise sample stay exactly zero.
-    sum_c, var, _ = _moments(sc, n_realizations, (M, 3), functools.partial(_state_deviation, det))
-    sigma = np.sqrt(var / n_realizations)
+    sum_c, var, _ = _moments(sc, (M, 3), functools.partial(_state_deviation, det))
+    sigma = np.sqrt(var / n)
     envelope = 3.0 * sigma
 
-    dev = np.abs(sum_c / n_realizations)
+    dev = np.abs(sum_c / n)
     per_vehicle_max = np.empty(M)
     per_vehicle_env = np.empty(M)
     within = True
@@ -805,7 +799,7 @@ def validate_mean_trajectory(sc: ScenarioConfig, n_realizations: int) -> MeanVal
     denom = np.maximum(envelope, ENVELOPE_ATOL)
     max_normalized = float((dev / denom).max())
     return MeanValidationReport(
-        n_realizations=n_realizations,
+        n_realizations=n,
         max_deviation=float(dev.max()),
         per_vehicle_max_deviation=per_vehicle_max,
         per_vehicle_envelope_at_max=per_vehicle_env,

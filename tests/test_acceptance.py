@@ -17,6 +17,7 @@ and why none of them is a property of the method, are in the criterion-3 row
 of docs/decisions.md.
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -177,12 +178,12 @@ def test_criterion_4_frequency_domain_consistency(figure_gains):
 def test_criterion_5_mean_trajectory_equivalence():
     t0 = time.perf_counter()
     sc = load_scenario(SCENARIOS / "fig3.scn")
-    rep = validate_mean_trajectory(sc, 5000)
+    rep = validate_mean_trajectory(dataclasses.replace(sc, realizations=5000))
     assert rep.within_envelope, (
         f"a vehicle's deviation exceeds its family-wise envelope: "
         f"dev={rep.per_vehicle_max_deviation}, env={rep.per_vehicle_envelope_at_max}"
     )
-    rep4 = validate_mean_trajectory(sc, 20000)
+    rep4 = validate_mean_trajectory(dataclasses.replace(sc, realizations=20000))
     assert rep4.within_envelope
     ratio = rep4.max_deviation / rep.max_deviation
     # quadrupling n should halve the deviation (CLT); allow max-statistic noise
@@ -272,8 +273,8 @@ def test_criterion_8_sandwich_inequality():
 def test_criterion_9_safety_study_direction():
     t0 = time.perf_counter()
     sc = load_scenario(SCENARIOS / "safety.scn")
-    acc = run_safety_study(sc, mode="acc")
-    cacc = run_safety_study(sc, mode="cacc")
+    acc, cacc = (run_safety_study(dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode)))
+                 for mode in ("acc", "cacc"))
     assert acc.n_realizations == cacc.n_realizations == 10_000
     assert cacc.p_collision < acc.p_collision
     assert cacc.mean_events_per_unstable is not None

@@ -340,6 +340,19 @@ class TestDeterminism:
         r1 = run_realization(dataclasses.replace(sc, base_seed=100), 0)
         assert not np.array_equal(r0.spacing_errors, r1.spacing_errors)
 
+    # an unchecked index goes wrong three ways: -1 runs silently on an ideal
+    # channel with fixed decel limits and reports index -1, -1 raises a bare
+    # ValueError from the reception streams, 2**70 overflows the index array
+    @pytest.mark.parametrize("channel, index", [("ideal", -1), ("gilbert", -1), ("ideal", 2**70)])
+    def test_index_outside_an_array_index_is_config_error(self, channel, index):
+        sc = small_scenario(duration=0.1) if channel == "ideal" else load_scenario(FIG3)
+        named = rf"^realization_index must be in \[0, {montecarlo._INDEX_MAX}\], got {index}$"
+        for batch in ([index], [0, index]):
+            with pytest.raises(ConfigError, match=named):
+                run_realizations(sc, batch)
+        with pytest.raises(ConfigError, match=named):
+            run_realization(sc, index)
+
     def test_pair_streams_independent(self):
         gp = GilbertParams(0.3, 0.1, 0.2)
         gen = _receptions(ChannelSpec(kind="gilbert", gilbert=gp), 7, np.arange(40), 5, 2000)
@@ -598,7 +611,7 @@ class TestOneRealizationLoop:
 
     # the orders in which a run's pairs close, read off its (time, lead,
     # follower) events; a lone run that collides goes to the batched loop
-    RESTART_CASES = {
+    COLLISION_ORDERS = {
         "rear pair closes before a front pair":
             lambda evs: any(t2 < t1 and p2 > p1 for t1, p1, _ in evs for t2, p2, _ in evs),
         "two pairs close at the same step": lambda evs: len({t for t, _, _ in evs}) < len(evs),
@@ -606,9 +619,9 @@ class TestOneRealizationLoop:
             lambda evs: any(t2 < t1 and p2 == p1 - 1 for t1, p1, _ in evs for t2, p2, _ in evs),
     }
 
-    @pytest.mark.parametrize("case", RESTART_CASES)
+    @pytest.mark.parametrize("case", COLLISION_ORDERS)
     @pytest.mark.parametrize("mode", ["acc", "cacc"])
-    def test_restarts_match_batch_of_three(self, case, mode):
+    def test_collision_orders_match_batch_of_three(self, case, mode):
         # short headways and gaps behind a leader braking at its limit: most
         # runs pile up; a 0.1 s step makes two pairs close at one step
         sc = crash_study(
@@ -619,7 +632,7 @@ class TestOneRealizationLoop:
             dt=0.1,
             realizations=300,
         )
-        shows = self.RESTART_CASES[case]
+        shows = self.COLLISION_ORDERS[case]
         found = [r.index for r in run_realizations(sc, range(300)) if shows(r.collision_events)]
         # the case under test happens
         assert found
@@ -703,15 +716,13 @@ class TestParallelBatches:
         def outputs():
             out = []
             for mode in ("acc", "cacc"):
-                study = run_safety_study(sc, mode=mode)
-                total, _, events = montecarlo._moments(
-                    dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode)),
-                    40, (sc.n_followers,), montecarlo._spacing_error,
-                )
+                moded = dataclasses.replace(sc, controller=dataclasses.replace(sc.controller, mode=mode))
+                study = run_safety_study(moded)
+                total, _, events = montecarlo._moments(moded, (sc.n_followers,), montecarlo._spacing_error)
                 assert sum(map(bool, events)) > 1
                 out += [study.variance_series.tobytes(), study.n_collided, study.mean_events_per_unstable,
                         total.tobytes(), events]
-            report = validate_mean_trajectory(iid, 40)
+            report = validate_mean_trajectory(dataclasses.replace(iid, realizations=40))
             assert report.max_deviation > 0.0
             return out + [
                 report.max_deviation, report.max_normalized, report.within_envelope,
@@ -760,9 +771,10 @@ class TestMoments:
 
     @staticmethod
     def moments(sc, det, n):
-        """_moments of the spacing errors and of the state deviations."""
-        return (montecarlo._moments(sc, n, (sc.n_followers,), montecarlo._spacing_error)[:2],
-                montecarlo._moments(sc, n, (sc.n_vehicles, 3), functools.partial(montecarlo._state_deviation, det))[:2])
+        """_moments of the spacing errors and of the state deviations over realizations 0..n-1."""
+        sc = dataclasses.replace(sc, realizations=n)
+        return (montecarlo._moments(sc, (sc.n_followers,), montecarlo._spacing_error)[:2],
+                montecarlo._moments(sc, (sc.n_vehicles, 3), functools.partial(montecarlo._state_deviation, det))[:2])
 
     # every point of a short, an odd-length and a 1 s grid is summed.  n = 300
     # is past numpy's 128-element pairwise block, so the sum splits
@@ -807,17 +819,11 @@ class TestMoments:
             assert np.all(np.abs(var.ravel() - exact_var) <= 2.0**-47 * scale)
             assert np.count_nonzero(exact_var) > rows.shape[0] // 2
 
-    def test_batches_that_miss_a_realization_are_config_error(self):
-        # np.arange(n) is empty for n >= 2**63 - 512: no batch would run
-        sc = small_scenario(duration=0.1)
-        with pytest.raises(ConfigError, match="^n: 9223372036854775807 realizations do not fit"):
-            montecarlo._moments(sc, 2**63 - 1, (sc.n_followers,), montecarlo._spacing_error)
-
 
 class TestMeanValidation:
     def test_ideal_channel_machine_precision(self):
         sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=1.0), duration=10.0)
-        report = validate_mean_trajectory(sc, 50)
+        report = validate_mean_trajectory(dataclasses.replace(sc, realizations=50))
         assert report.max_deviation < 1e-9
         assert report.within_envelope
 
@@ -825,14 +831,14 @@ class TestMeanValidation:
         # follower 4's largest deviation is 1.17x its pointwise 3-sigma
         # envelope here: over some 12,000 points per vehicle that is chance
         sc = dataclasses.replace(load_scenario(FIG3), base_seed=3)
-        report = validate_mean_trajectory(sc, 4096)
+        report = validate_mean_trajectory(dataclasses.replace(sc, realizations=4096))
         assert report.max_normalized > 1.1
         assert report.within_envelope
         assert np.all(report.per_vehicle_max_deviation <= report.per_vehicle_envelope_at_max)
 
     def test_biased_equivalent_flagged(self, monkeypatch):
-        sc = load_scenario(FIG3)
-        assert validate_mean_trajectory(sc, 256).within_envelope
+        sc = dataclasses.replace(load_scenario(FIG3), realizations=256)
+        assert validate_mean_trajectory(sc).within_envelope
 
         def biased(s):
             return dataclasses.replace(
@@ -840,21 +846,22 @@ class TestMeanValidation:
             )
 
         monkeypatch.setattr(montecarlo, "deterministic_equivalent", biased)
-        assert not validate_mean_trajectory(sc, 256).within_envelope
+        assert not validate_mean_trajectory(sc).within_envelope
 
     def test_requires_fixed_decel(self):
         sc = small_scenario(
             channel=ChannelSpec(kind="iid", gamma=0.5),
             decel_dist=DecelDistribution(kind="point", value=9.0),
+            realizations=10,
         )
         with pytest.raises(ConfigError):
-            validate_mean_trajectory(sc, 10)
+            validate_mean_trajectory(sc)
 
     def test_one_realization_rejected(self):
         # one sample gives sigma = 0 everywhere: the envelope test would never run
-        sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.5))
-        with pytest.raises(ConfigError, match=r"^n_realizations must be in \[2, "):
-            validate_mean_trajectory(sc, 1)
+        sc = small_scenario(channel=ChannelSpec(kind="iid", gamma=0.5), realizations=1)
+        with pytest.raises(ConfigError, match=r"^realizations must be in \[2, "):
+            validate_mean_trajectory(sc)
 
     def test_family_alpha_is_two_sided_three_sigma(self):
         import scipy.special

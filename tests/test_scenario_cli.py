@@ -411,12 +411,12 @@ class TestCli:
         (["montecarlo", str(SCENARIOS / "safety.scn"), "--realizations", "0"],
          "config error: realizations must be in [1, "),
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "100000000000000000000000"],
-         "config error: n_realizations must be in [2, "),
+         "config error: realizations must be in [1, "),
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "0"],
-         "config error: n_realizations must be in [2, "),
+         "config error: realizations must be in [1, "),
         # one sample has no spread: its envelope is zero and would test nothing
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "1"],
-         "config error: n_realizations must be in [2, "),
+         "config error: realizations must be in [2, "),
         (["headway", "--tau", "0.5", "--ka", "0.4"], "--gamma or --gilbert"),
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gamma", "0.5", "--gilbert", "0.3", "0.1", "0.2"],
          "--gamma or --gilbert"),
@@ -450,18 +450,19 @@ class TestCli:
 
     @pytest.mark.parametrize("command, scenario, prefix", [
         ("montecarlo", "safety.scn", "realizations must be in [1, "),
-        ("validate-mean", "fig3.scn", "n_realizations must be in [2, "),
+        ("validate-mean", "fig3.scn", "realizations must be in [1, "),
     ])
     @pytest.mark.parametrize("realizations", [2**63 - 1, 2**62])
     def test_realizations_past_an_index_array_are_config_error(self, tmp_path, capsys, command, scenario, prefix,
                                                               realizations):
-        # at 2**63 - 1 np.arange was empty and no batch ran (exit 0); at 2**62 it raised
+        # at 2**63 - 1 np.arange would be empty and no batch would run; at 2**62 it would raise.
+        # The scenario refuses the count before the command makes its output directory.
         out = tmp_path / "out"
         argv = [command, str(SCENARIOS / scenario), "--realizations", str(realizations), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
@@ -553,8 +554,9 @@ class TestCli:
             ["validate-mean", str(short["fig3"]), "--realizations", "20"],
         ]
         # Every parsed destination is a parameter of the command and recorded,
-        # except these; --seed lands in the scenario's base_seed.
-        unrecorded = {"command", "seed", "out"}
+        # except these; --seed, --mode and --realizations land in the
+        # scenario's base_seed, controller.mode and realizations.
+        unrecorded = {"command", "seed", "mode", "realizations", "out"}
         for n, argv in enumerate(runs):
             out1, out2 = tmp_path / f"run{n}" / "a", tmp_path / f"run{n}" / "b"
             assert main(argv + ["--out", str(out1)]) == EXIT_OK
@@ -569,6 +571,22 @@ class TestCli:
             assert sorted(p.name for p in out2.iterdir()) == files
             for name in files:
                 assert file_hash(out1 / name) == file_hash(out2 / name), (argv, name)
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "safety", "--mode", "acc", "--realizations", "30"],
+        ["validate-mean", "fig3", "--realizations", "30"],
+    ], ids=["montecarlo", "validate-mean"])
+    def test_manifest_scenario_is_the_run(self, tmp_path, argv):
+        """The flags land in the recorded scenario; the config holds nothing beside it."""
+        scn = tmp_path / f"{argv[1]}.scn"
+        scn.write_text((SCENARIOS / scn.name).read_text().replace("duration_s = 25", "duration_s = 2")
+                                                        .replace("duration_s = 40", "duration_s = 2"))
+        out = tmp_path / "out"
+        assert main([argv[0], str(scn)] + argv[2:] + ["--out", str(out)]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == {"scenario"}
+        assert config["scenario"]["realizations"] == 30
+        assert config["scenario"]["controller"]["mode"] == ("acc" if argv[0] == "montecarlo" else "cacc")
 
     def test_rerun_rejects_missing_manifest_and_unknown_command(self, tmp_path, capsys):
         assert main(["rerun", str(tmp_path / "none" / "manifest.json")]) == EXIT_CONFIG
@@ -708,8 +726,8 @@ class TestCli:
          "alpha_star"),
         (["headway", "--tau", "0.5", "--ka", "0.4", "--gilbert", "0.3", "0.1", "0.2"],
          lambda c: c.update(gilbert=[0.3, 0.1]), "manifest.config", "gilbert"),
-        (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c.update(realizations=4.0),
-         "manifest.config", "realizations"),
+        (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c["scenario"].update(realizations=4.0),
+         "manifest.config.scenario", "realizations"),
         (["montecarlo", "SHORT_SAFETY", "--realizations", "4"], lambda c: c["scenario"].pop("decel_dist"),
          "manifest.config.scenario", "decel_dist"),
         # values of the right type that the config dataclasses refuse
@@ -737,16 +755,22 @@ class TestCli:
         assert f"{key} must " in err or f"'{key}'" in err, err
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("change, named", [
-        (lambda m: m.update(base_seed=0), "manifest: malformed (unknown key 'base_seed')"),
-        (lambda m: m["config"]["scenario"]["channel"].pop("gamma"),
+    @pytest.mark.parametrize("argv, change, named", [
+        (["stability"], lambda m: m.update(base_seed=0), "manifest: malformed (unknown key 'base_seed')"),
+        (["stability"], lambda m: m["config"]["scenario"]["channel"].pop("gamma"),
          "manifest.config.scenario.channel: malformed (missing key 'gamma')"),
-        (old_segment_lists, "manifest.config.scenario.leader.segments[0]: malformed (expected a table, got list)"),
-    ], ids=["envelope seed", "no gamma", "segment lists"])
-    def test_rerun_rejects_the_old_manifest_format_by_name(self, tmp_path, capsys, change, named):
-        """A manifest in the format that left out every None and wrote segments as lists: exit 2 naming the key."""
-        scn = str(self.write_minimal(tmp_path))
-        code, err, out = self.rerun_edited(tmp_path, capsys, ["stability", scn], change)
+        (["stability"], old_segment_lists,
+         "manifest.config.scenario.leader.segments[0]: malformed (expected a table, got list)"),
+        (["montecarlo", "--mode", "acc", "--realizations", "4"],
+         lambda m: m["config"].update(mode="acc", realizations=4), "manifest.config: malformed (unknown key 'mode')"),
+        (["validate-mean", "--realizations", "4"], lambda m: m["config"].update(realizations=4),
+         "manifest.config: malformed (unknown key 'realizations')"),
+    ], ids=["envelope seed", "no gamma", "segment lists", "montecarlo flags", "validate-mean flags"])
+    def test_rerun_rejects_the_old_manifest_format_by_name(self, tmp_path, capsys, argv, change, named):
+        """A manifest in an older format: one that left out every None, wrote segments as lists,
+        or recorded --mode and --realizations beside the scenario.  Exit 2 naming the key."""
+        argv = [argv[0], str(self.write_minimal(tmp_path))] + argv[1:]
+        code, err, out = self.rerun_edited(tmp_path, capsys, argv, change)
         assert code == EXIT_CONFIG
         assert err == f"config error: {named}\n"
         assert not (out / "manifest.json").exists()

@@ -52,6 +52,7 @@ import dataclasses
 import functools
 import math
 import multiprocessing
+import numbers
 import os
 import statistics
 import sys
@@ -708,8 +709,10 @@ def run_realizations(sc: ScenarioConfig, indices) -> list[RealizationResult]:
     """
     indices = list(indices)
     for idx in indices:
-        if not 0 <= idx <= _INDEX_MAX:
+        # int() would truncate a float and read a bool as 0 or 1
+        if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 0 <= idx <= _INDEX_MAX:
             raise ConfigError(f"realization_index must be in [0, {_INDEX_MAX}], got {idx}")
+    indices = [int(idx) for idx in indices]
     out: list[RealizationResult] = []
     for chunk in _chunks(indices):
         err, states, events, limits = _simulate_batch(sc, chunk)

@@ -1,18 +1,19 @@
-"""Scenario files and manifests: one vocabulary, read by one strict builder.
+"""Scenario files and manifests: one vocabulary, read by two strict readers.
 
 The config dataclasses name fields, and each refuses a value with an
 InvalidInputError whose message starts with the field name or names.  Only
 this module names scenario-file keys (see README.md and scenarios/ for the
 format): `_KEYS` maps each `section.key` to the ScenarioConfig field it sets.
-`parse_scenario` turns the text into the table a manifest holds, each value
-still the file's text and each absent key its field's default, and `_build`
-reads a file's table, a manifest's scenario or a command's arguments against
-the dataclasses' type hints and signatures.  A rejection names the key as its
-reader knows it: `section.key` for a file, `manifest.config.scenario` and the
-table for a manifest.  Unknown, missing, malformed and refused keys, and keys
-the chosen model, mode or distribution does not read, are ConfigErrors.  The
-manifest dict's canonical JSON hash identifies the resolved configuration in
-each `RunManifest`.
+`parse_scenario` reads a file in one pass: `_from_file` walks the fields in
+`_KEYS` order, converts each given key's text, gives an absent key its
+field's default and builds each dataclass, so a rejection names the first
+faulty key in that order as `section.key`.  `_build` reads JSON tables only,
+a manifest's envelope, its command's arguments and its scenario, against the
+dataclasses' type hints and signatures, and names a rejection by the table
+and key (`manifest.config.scenario` and so on).  Unknown, missing, malformed
+and refused keys, and keys the chosen model, mode or distribution does not
+read, are ConfigErrors.  The manifest dict's canonical JSON hash identifies
+the resolved configuration in each `RunManifest`.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ _KEYS = {
 }
 _KEY_OF = {path: key for key, path in _KEYS.items()}
 _SECTIONS = {key.partition(".")[0] for key in _KEYS}
-_MISSING = object()   # the table value of a key the file must give and leaves out
 # the field names an InvalidInputError's message starts with, and the rest
 _NAMES = re.compile(r"([\w.]+(?:, [\w.]+)*):? (.*)", re.S)
 
@@ -102,42 +102,48 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 raise ConfigError(f"{section}.{key}: unknown key")
             given[f"{section}.{key}"] = values[key]
     read: set[str] = set()
-    scenario = _build(ScenarioConfig, _text_table(ScenarioConfig, "", given, read), "", text=True)
+    scenario = _from_file(ScenarioConfig, "", given, read)
     for key in sorted(given.keys() - read):
         raise ConfigError(f"{key}: not read by the chosen model, mode or distribution")
     return scenario
 
 
-def _text_table(cls, where: str, given: dict[str, str], read: set[str]) -> dict:
-    """The table of dataclass cls at field path where, in _KEYS order, from a file's given keys.
+def _from_file(cls, where: str, given: dict[str, str], read: set[str]):
+    """Dataclass cls at field path where from a file's given keys, read in _KEYS order.
 
-    Each field holds its key's text, its default if the key is absent, or
-    _MISSING if the file must give it; a field its table's kind does not read
-    holds its default.  The keys taken go into read.
+    An absent key takes its field's default, unless the file must give it; a
+    field its table's kind does not read takes its default.  The keys taken go
+    into read.  A value cls refuses is a ConfigError naming its file keys.
     """
     params = _parameters(cls)
     kinds = getattr(cls, "KIND_FIELDS", None)
     if kinds is not None:
         kind = given.get(_key(where, "kind"), params["kind"][2]).lower()
-    table = {}
+    kwargs = {}
     for name, key in _fields(where):
         hint, nullable, default = params[name]
         if kinds is not None and name != "kind" and name not in kinds.get(kind, ()):
-            table[name] = default
+            kwargs[name] = default
         elif key in given:
             read.add(key)
-            table[name] = given[key]
+            kwargs[name] = _from_text(hint, given[key], key)
         elif key in _KEYS:
             optional = kinds is None or kind == params["kind"][2]
-            table[name] = default if optional and default is not inspect.Parameter.empty else _MISSING
+            if not optional or default is inspect.Parameter.empty:
+                raise ConfigError(f"{key}: required key missing")
+            kwargs[name] = default
         else:   # a nested table: an optional one whose kind key is absent takes its default, and none is null
             kind_key = _key(key, "kind")
             if nullable and kind_key in _KEYS and given.get(kind_key, "none").lower() == "none":
                 read.update({kind_key} & given.keys())
-                table[name] = default if kind_key not in given else None
+                kwargs[name] = default if kind_key not in given else None
             else:
-                table[name] = _text_table(hint, key, given, read)
-    return table
+                kwargs[name] = _from_file(hint, key, given, read)
+    try:
+        return cls(**kwargs)
+    except InvalidInputError as exc:
+        names, problem = _NAMES.match(str(exc)).groups()
+        raise ConfigError(f"{', '.join(_key(where, name) for name in names.split(', '))}: {problem}") from None
 
 
 @functools.cache
@@ -157,8 +163,6 @@ def _key(where: str, name: str) -> str:
 
 def _from_text(hint, raw, key: str):
     """A field of type hint from its file key's text."""
-    if raw is _MISSING:
-        raise ConfigError(f"{key}: required key missing")
     if hint is float or hint is int:
         try:
             value = hint(raw)
@@ -223,14 +227,13 @@ def _parameters(fn) -> dict[str, tuple[typing.Any, bool, typing.Any]]:
     return params
 
 
-def read_arguments(fn, table, where: str, skip: tuple[str, ...] = (), text: bool = False) -> dict[str, typing.Any]:
+def read_arguments(fn, table, where: str, skip: tuple[str, ...] = ()) -> dict[str, typing.Any]:
     """The keyword arguments of fn (a function or a dataclass) but skip, read from its table in the table's order.
 
     The table holds every parameter, a None as null, and no other key; each
     value must have its parameter's type hint, and a dataclass hint reads a
     nested table.  where names the table in messages; a violation is a
-    ConfigError naming the table and the key.  With text, the table is a
-    scenario file's (see _text_table) and a message names the file key.
+    ConfigError naming the table and the key.
     """
     if not isinstance(table, dict):
         raise ConfigError(f"{where}: malformed (expected a table, got {type(table).__name__})")
@@ -239,31 +242,24 @@ def read_arguments(fn, table, where: str, skip: tuple[str, ...] = (), text: bool
     if table.keys() != names:
         key = min(table.keys() ^ names, key=str)
         raise ConfigError(f"{where}: malformed ({'unknown' if key in table else 'missing'} key {key!r})")
-    return {name: _read(*params[name][:2], value, where, name, text) for name, value in table.items()}
+    return {name: _read(*params[name][:2], value, where, name) for name, value in table.items()}
 
 
-def _build(cls, table, where: str, text: bool = False):
-    """Dataclass cls from its table; a value cls refuses is a ConfigError naming where, or with text its file keys."""
-    kwargs = read_arguments(cls, table, where, text=text)
+def _build(cls, table, where: str):
+    """Dataclass cls from its table; a value cls refuses is a ConfigError naming where."""
+    kwargs = read_arguments(cls, table, where)
     try:
         return cls(**kwargs)
     except InvalidInputError as exc:
-        if not text:
-            raise ConfigError(f"{where}: {exc}") from None
-        names, problem = _NAMES.match(str(exc)).groups()
-        raise ConfigError(f"{', '.join(_key(where, name) for name in names.split(', '))}: {problem}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _read(hint, nullable: bool, value, where: str, key: str, text: bool = False):
-    """Parameter key of table where from its value, checked against its type hint; with text, a file's text is read."""
+def _read(hint, nullable: bool, value, where: str, key: str):
+    """Parameter key of table where from its value, checked against its type hint."""
     if value is None and nullable:
         return None
-    if text and (isinstance(value, str) or value is _MISSING):
-        return _from_text(hint, value, _key(where, key))
     if dataclasses.is_dataclass(hint):
-        return _build(hint, value, _key(where, key) if text else f"{where}.{key}", text)
-    if text:   # a field's default
-        return value
+        return _build(hint, value, f"{where}.{key}")
     args = typing.get_args(hint)
     origin = typing.get_origin(hint) or hint
     kind = {typing.Literal: str, tuple: list}.get(origin, origin)

@@ -340,10 +340,12 @@ class TestDeterminism:
         r1 = run_realization(dataclasses.replace(sc, base_seed=100), 0)
         assert not np.array_equal(r0.spacing_errors, r1.spacing_errors)
 
-    # an unchecked index goes wrong three ways: -1 runs silently on an ideal
+    # an unchecked index goes wrong four ways: -1 runs silently on an ideal
     # channel with fixed decel limits and reports index -1, -1 raises a bare
-    # ValueError from the reception streams, 2**70 overflows the index array
-    @pytest.mark.parametrize("channel, index", [("ideal", -1), ("gilbert", -1), ("ideal", 2**70)])
+    # ValueError from the reception streams, 2**70 overflows the index array,
+    # and 1.5 and True are truncated to realization 1
+    @pytest.mark.parametrize("channel, index", [
+        ("ideal", -1), ("gilbert", -1), ("ideal", 2**70), ("ideal", 1.5), ("ideal", True)])
     def test_index_outside_an_array_index_is_config_error(self, channel, index):
         sc = small_scenario(duration=0.1) if channel == "ideal" else load_scenario(FIG3)
         named = rf"^realization_index must be in \[0, {montecarlo._INDEX_MAX}\], got {index}$"

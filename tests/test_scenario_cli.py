@@ -123,6 +123,15 @@ INVALID_VARIANTS = {
     "mean of a point decel": (
         edit("", "[montecarlo]\ndecel_dist = point\ndecel_value_mps2 = 8\ndecel_mean_mps2 = 7\n"),
         "montecarlo.decel_mean_mps2"),
+    # two faults at once: the first in _KEYS order is named, and an unread key only after a clean build
+    "missing gain before a malformed step": (
+        edit("ka = 0.4\n", "").replace("dt_s = 0.01", "dt_s = fast"), "controller.ka: required key missing"),
+    "zero lag beside gamma of an ideal channel": (
+        edit("model = ideal", "model = ideal\ngamma = 0.4").replace("n_followers = 2", "n_followers = 2\ntau_s = 0"),
+        "platoon.tau_s: "),
+    "gilbert channel without p_bg beside a fractional string": (
+        edit("model = ideal", "model = gilbert\np_gb = 0.3\nq = 0.2").replace("n_followers = 2", "n_followers = 2.5"),
+        "channel.p_bg: required key missing"),
 }
 
 # Values for the parser fuzz: numbers, counts past any array, non-finite

@@ -42,6 +42,7 @@ from .control import min_headway
 from .errors import ConfigError, InvalidInputError, NumericalError
 from .montecarlo import (
     ScenarioConfig,
+    check_mean_realizations,
     deterministic_equivalent,
     run_realization,
     run_safety_study,
@@ -334,6 +335,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if command == "rerun":
             return cmd_rerun(Path(config["manifest"]), out)
         seed, mode, realizations = (config.pop(flag, None) for flag in ("seed", "mode", "realizations"))
+        if command == "validate-mean":   # its own range, before the scenario's and the output directory
+            check_mean_realizations(realizations)
         if "scenario" in config:
             sc = load_scenario(config["scenario"])
             if mode is not None:

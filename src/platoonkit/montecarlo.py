@@ -760,6 +760,13 @@ def run_safety_study(sc: ScenarioConfig) -> SafetyStats:
     )
 
 
+def check_mean_realizations(n: int) -> None:
+    """Refuse a mean-validation realization count outside [2, _COUNT_MAX] as a ConfigError."""
+    # one sample has no spread: its envelope would be zero and test nothing
+    if not 2 <= n <= _COUNT_MAX:
+        raise ConfigError(f"realizations must be in [2, {_COUNT_MAX}], got {n}")
+
+
 def validate_mean_trajectory(sc: ScenarioConfig) -> MeanValidationReport:
     """Compare the averaged stochastic state with the deterministic equivalent.
 
@@ -768,10 +775,8 @@ def validate_mean_trajectory(sc: ScenarioConfig) -> MeanValidationReport:
     reception indicator replaced by its expectation.  Requires fixed deceleration limits (the
     equivalence claim concerns channel randomness only).
     """
-    # one sample has no spread: its envelope would be zero and test nothing
     n = sc.realizations
-    if n < 2:
-        raise ConfigError(f"realizations must be in [2, {_COUNT_MAX}], got {n}")
+    check_mean_realizations(n)
     if sc.decel_dist is not None:
         raise ConfigError("validate_mean_trajectory requires fixed decel limits (decel_dist = None)")
     M = sc.n_vehicles

@@ -291,39 +291,27 @@ def _propagate(row: np.ndarray, step: np.ndarray, n: int) -> np.ndarray:
 
 
 # Higham, "The scaling and squaring method for the matrix exponential
-# revisited" (SIAM J. Matrix Anal. Appl. 26(4), 2005): for each diagonal Pade
-# degree m, the largest 1-norm at which r_m(M) is exp(M) to binary64 accuracy,
-# and r_m's numerator coefficients b_0..b_m (r_m = (V - U)^-1 (V + U) with U
-# the odd and V the even part).
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-               9: 2.097847961257068, 13: 5.371920351148152}
-_PADE_B = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-        110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+# revisited" (SIAM J. Matrix Anal. Appl. 26(4), 2005): the largest 1-norm at
+# which the degree-13 diagonal Pade approximant r_13(M) is exp(M) to binary64
+# accuracy, and r_13's numerator coefficients b_0..b_13 (r_13 = (V - U)^-1 (V + U)
+# with U the odd and V the even part).
+_THETA_13 = 5.371920351148152
+_B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
          129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-# Rows of coefficients that combine the even powers I, M^2, M^4, ...: for
-# m <= 9 the odd factor of U and V; for m = 13 (powers up to M^6) the high
-# and low halves of each, as U = M (M^6 U_hi + U_lo), V = M^6 V_hi + V_lo.
-_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, b in _PADE_B.items() if m < 13}
-_PADE_ROWS[13] = np.array([(0.0,) + _PADE_B[13][9::2], _PADE_B[13][1:9:2],
-                           (0.0,) + _PADE_B[13][8::2], _PADE_B[13][0:8:2]])
+         40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+# Rows of coefficients that combine I, M^2, M^4, M^6 into the high and low
+# halves of U and V: U = M (M^6 U_hi + U_lo), V = M^6 V_hi + V_lo.
+_R13_ROWS = np.array([(0.0,) + _B_13[9::2], _B_13[1:9:2], (0.0,) + _B_13[8::2], _B_13[0:8:2]])
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """exp(M) of a square float matrix by scaling and squaring (Higham 2005).
 
-    The lowest Pade degree whose theta covers ||M||_1 is used unscaled;
-    beyond theta_13, M is divided by the least power of two 2^s that brings
-    it within theta_13, r_13 is applied and the result squared s times.  A
-    zero matrix returns np.eye(n) at once: exactly exp(0), which _eta_sup
-    asks for on every pass whose bracket starts at t = 0.  Raises
-    NumericalError on a non-finite input or result.
+    M is divided by the least power of two 2^s that brings ||M||_1 within
+    theta_13 (s = 0 when it is already within), r_13 is applied and the
+    result squared s times.  A zero matrix returns np.eye(n) at once: exactly
+    exp(0), which _eta_sup asks for on every pass whose bracket starts at
+    t = 0.  Raises NumericalError on a non-finite input or result.
     """
     norm = float(np.abs(M).sum(axis=0).max())
     if not math.isfinite(norm):
@@ -331,17 +319,13 @@ def _expm(M: np.ndarray) -> np.ndarray:
     n = M.shape[0]
     if norm == 0.0:
         return np.eye(n)
-    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE_THETA[m]), 13)
-    s = max(0, math.ceil(math.log2(norm / _PADE_THETA[13]))) if m == 13 else 0
+    s = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
     M = M * 2.0 ** -s
-    powers = [np.eye(n), M @ M]
-    while len(powers) < _PADE_ROWS[m].shape[1]:
-        powers.append(powers[-1] @ powers[1])
-    W = (_PADE_ROWS[m] @ np.array(powers).reshape(len(powers), -1)).reshape(-1, n, n)
-    if m == 13:
-        U, V = M @ (powers[3] @ W[0] + W[1]), powers[3] @ W[2] + W[3]
-    else:
-        U, V = M @ W[0], W[1]
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    W = (_R13_ROWS @ np.array([np.eye(n), M2, M4, M6]).reshape(4, -1)).reshape(4, n, n)
+    U, V = M @ (M6 @ W[0] + W[1]), M6 @ W[2] + W[3]
     E = np.linalg.solve(V - U, V + U)
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow raises below
         for _ in range(s):

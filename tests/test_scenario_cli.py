@@ -419,10 +419,11 @@ class TestCli:
          "config error: realizations must be in [1, "),
         (["montecarlo", str(SCENARIOS / "safety.scn"), "--realizations", "0"],
          "config error: realizations must be in [1, "),
+        # validate-mean names its own range, not the scenario's
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "100000000000000000000000"],
-         "config error: realizations must be in [1, "),
+         "config error: realizations must be in [2, "),
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "0"],
-         "config error: realizations must be in [1, "),
+         "config error: realizations must be in [2, "),
         # one sample has no spread: its envelope is zero and would test nothing
         (["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", "1"],
          "config error: realizations must be in [2, "),
@@ -459,18 +460,26 @@ class TestCli:
 
     @pytest.mark.parametrize("command, scenario, prefix", [
         ("montecarlo", "safety.scn", "realizations must be in [1, "),
-        ("validate-mean", "fig3.scn", "realizations must be in [1, "),
+        ("validate-mean", "fig3.scn", "realizations must be in [2, "),
     ])
     @pytest.mark.parametrize("realizations", [2**63 - 1, 2**62])
     def test_realizations_past_an_index_array_are_config_error(self, tmp_path, capsys, command, scenario, prefix,
                                                               realizations):
         # at 2**63 - 1 np.arange would be empty and no batch would run; at 2**62 it would raise.
-        # The scenario refuses the count before the command makes its output directory.
+        # The count is refused before the command makes its output directory.
         out = tmp_path / "out"
         argv = [command, str(SCENARIOS / scenario), "--realizations", str(realizations), "--out", str(out)]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("realizations", ["0", "1", "100000000000000000000000"])
+    def test_validate_mean_count_is_refused_before_its_directory(self, tmp_path, capsys, realizations):
+        out = tmp_path / "out"
+        argv = ["validate-mean", str(SCENARIOS / "fig3.scn"), "--realizations", realizations, "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: realizations must be in [2, ")
         assert not out.exists()
 
     def test_parser_is_built_once(self):

@@ -305,6 +305,13 @@ class TestImpulseL1:
         with pytest.raises(UnstableLoopError):
             impulse_l1(TransferFunction((1.0,), (-1.0, 1.0)))
 
+    @pytest.mark.parametrize("name, l1", [("fig2.scn", "1.329"), ("fig3.scn", "1.221")])
+    def test_figure_strings_match_decisions_table(self, name, l1):
+        # ||h||_1 of each figure string as docs/decisions.md prints it (criterion 3)
+        sc = load_scenario(SCENARIOS / name)
+        tf = cacc_error_tf(sc.controller, sc.params.tau, sc.channel.effective_gamma())
+        assert f"{impulse_l1(tf):.3f}" == l1
+
     def test_sandwich_inequality_small_sample(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
@@ -400,8 +407,8 @@ class TestExpm:
                 err = max_entry_error(_expm(A0 * t), scipy.linalg.expm(A0 * t))
                 assert err <= tol, f"config {i} t={t}"
 
-    def test_every_pade_degree_matches_scipy(self):
-        """Hurwitz M with 1-norms on both sides of each theta, so every degree runs, and degree 13 once scaled."""
+    def test_unscaled_and_scaled_match_scipy(self):
+        """Hurwitz M with 1-norms from 1e-3 to 5.38: r_13 runs unscaled up to theta_13 = 5.3719 and scaled beyond it."""
         rng = np.random.default_rng(21)
         for norm in (1e-3, 0.014, 0.016, 0.25, 0.26, 0.95, 0.96, 2.09, 2.1, 5.37, 5.38):
             for _ in range(5):
@@ -413,6 +420,10 @@ class TestExpm:
     def test_zero_matrix_is_exact_identity(self):
         assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
         assert np.array_equal(_expm(np.full((3, 3), -0.0)), np.eye(3))
+
+    def test_subnormal_norm_is_not_scaled(self):
+        # ||M||_1 / theta_13 underflows to 0 here, where log2 would fail
+        assert np.abs(_expm(np.diag([-5e-324, 0.0, 0.0])) - np.eye(3)).max() <= 2.0 ** -52
 
     def test_non_finite_input_or_result_raises(self):
         for bad in (np.nan, np.inf):
